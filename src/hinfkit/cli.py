@@ -14,6 +14,11 @@ Model files are JSON documents with a ``kind`` discriminator:
       network_kind in {buffer, irrigation, thermal, machine, circulant};
       node indices are 0-based.
 
+Each command resolves the loaded model once into its report kind, descriptor
+form, certification plant and canonical gain. A descriptor form with a
+singular E has no state-space reduction: verify and freqresp take the
+rational route and compare refuses it. Only synth takes --weighted.
+
 Exit codes: 0 ok/optimal, 2 schema violation, 3 model invariant violation,
 4 certified suboptimal, 5 unstable, 7 internal error.
 """
@@ -24,10 +29,12 @@ import argparse
 import hashlib
 import json
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, freqgrid, netgen, synth, verify
+from . import __version__, freqgrid, linalg, netgen, synth, verify
 from .exceptions import (
     DimensionError,
     HinfkitError,
@@ -43,7 +50,14 @@ from .exceptions import (
 )
 from .baseline import AreProblem, gamma_bisect
 from .netgen import NetworkModel
-from .sysmodel import DescriptorPlant, Gain, RationalPlant, close_loop, modal_plant
+from .sysmodel import (
+    DescriptorPlant,
+    Gain,
+    RationalPlant,
+    close_loop,
+    eval_closed_rational,
+    modal_plant,
+)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -109,6 +123,13 @@ def _rational_matrix(doc, key):
 
 def load_model(path):
     """Parse and validate a model file; returns a plant or a NetworkModel."""
+    model = _parse(path)
+    _resolve(model)  # networks compile, and so validate, here
+    return model
+
+
+def _parse(path):
+    """The model a file describes; networks are validated later, when they compile."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -133,69 +154,55 @@ def load_model(path):
         plant.check_standing_assumptions()
         return plant
     if kind == "network":
-        net = NetworkModel(
+        return NetworkModel(
             kind=doc.get("network_kind", ""),
             nodes=doc.get("nodes", 0),
             edges=doc.get("edges", []),
             params=doc.get("params", {}),
         )
-        _compile_for(net)  # validate invariants now
-        return net
     raise SchemaError(f"unknown model kind {kind!r}", field="kind")
 
 
-def _compile_for(net: NetworkModel):
-    if net.kind == "machine":
-        return netgen.compile_machine(net)
-    return netgen.compile_network(net)
+@dataclass
+class _Form:
+    """A loaded model as the commands see it; built once by ``_resolve``."""
+
+    kind: str  # the report header's model kind
+    descriptor: DescriptorPlant | None  # single descriptor form, if the model has one
+    plant: RationalPlant | None  # certification plant; None for machine networks
+    gain: Callable[[float], Gain]  # canonical gain at the target frequency omega0
+    state_space: bool = False  # the descriptor form has an invertible E
+    disturbance_map: list | None = None  # irrigation: load disturbances into the states
+
+
+def _descriptor_form(kind, desc, gain, disturbance_map=None) -> _Form:
+    sv = np.linalg.svd(desc.E, compute_uv=False)
+    state_space = bool(sv[-1] > linalg.RANK_RTOL * sv[0])
+    return _Form(kind, desc, desc.to_rational(), gain, state_space, disturbance_map)
+
+
+def _resolve(model, unit_h=False) -> _Form:
+    """The kind table: every per-kind decision the commands need, in one place."""
+    if isinstance(model, RationalPlant):
+        return _Form("rational", None, model, lambda w0: synth.closed_form_gain(model, w0))
+    if isinstance(model, DescriptorPlant):
+        return _descriptor_form("descriptor", model, lambda _: synth.descriptor_gain(model))
+    kind = f"network/{model.kind}"
+    if model.kind == "machine":
+        m, d, L = netgen.compile_machine(model)
+        return _Form(kind, None, None, lambda _: synth.machine_modal_gains(m, d, L))
+    if model.kind == "buffer":
+        return _descriptor_form(kind, netgen.compile_buffer(model), lambda _: synth.buffer_law(model))
+    if model.kind == "irrigation":
+        desc, H = netgen.compile_irrigation(model, unit_h=unit_h)
+        return _descriptor_form(kind, desc, lambda _: synth.descriptor_gain(desc), H.tolist())
+    desc = netgen.compile_network(model)
+    return _descriptor_form(kind, desc, lambda _: synth.descriptor_gain(desc))
 
 
 def _digest(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# gain synthesis per model kind
-
-
-def _synthesize(model, args):
-    """Canonical gain and the rational plant used to certify it."""
-    omega0 = args.omega0
-    weighted = getattr(args, "weighted", None)
-    if isinstance(model, DescriptorPlant):
-        plant = model.to_rational()
-        gain = synth.descriptor_gain(model)
-    elif isinstance(model, RationalPlant):
-        plant = model
-        gain = synth.closed_form_gain(model, omega0)
-    elif model.kind == "buffer":
-        plant = netgen.compile_buffer(model).to_rational()
-        gain = synth.buffer_law(model)
-    elif model.kind == "machine":
-        if weighted:
-            raise InvalidInputError("weighted synthesis is not defined for machine networks")
-        m, d, L = netgen.compile_machine(model)
-        return synth.machine_modal_gains(m, d, L), None
-    else:
-        descriptor = netgen.compile_network(model)
-        plant = descriptor.to_rational()
-        gain = synth.descriptor_gain(descriptor)
-    if weighted:
-        Q = _matrix(_load_json(args.weighted), "Q", "")
-        gain = synth.weighted_gain(plant, Q, omega0)
-    return gain, plant
-
-
-def _plant_of(model):
-    """Rational plant for certification, without synthesizing any gain."""
-    if isinstance(model, DescriptorPlant):
-        return model.to_rational()
-    if isinstance(model, RationalPlant):
-        return model
-    if model.kind == "machine":
-        return None
-    return netgen.compile_network(model).to_rational()
 
 
 def _load_json(path):
@@ -250,24 +257,14 @@ def _gain_report(gain: Gain) -> dict:
     }
 
 
-def _model_header(path, model) -> dict:
-    kind = (
-        "descriptor"
-        if isinstance(model, DescriptorPlant)
-        else "rational"
-        if isinstance(model, RationalPlant)
-        else f"network/{model.kind}"
-    )
-    return {"path": str(path), "digest": _digest(path), "kind": kind}
+def _model_header(path, form) -> dict:
+    return {"path": str(path), "digest": _digest(path), "kind": form.kind}
 
 
-def _structure_checks(model) -> dict:
+def _structure_checks(form) -> dict:
     """Descriptor-plant structure tests; the sweep-free route and its fallback."""
-    if isinstance(model, NetworkModel):
-        if model.kind == "machine":
-            return {}
-        model = netgen.compile_network(model)
-    if not isinstance(model, DescriptorPlant):
+    model = form.descriptor
+    if model is None:
         return {}
     sym = verify.symmetric_commuting_check(model)
     out = {
@@ -282,7 +279,11 @@ def _structure_checks(model) -> dict:
     }
     if not sym.holds:
         dom = verify.zero_peak_inequality(model)
-        stab = verify.pencil_stability(model, synth.descriptor_gain(model))
+        if form.state_space:
+            stab = verify.pencil_stability(model, synth.descriptor_gain(model))
+            pencil = {"stable": stab.stable, "abscissa": stab.abscissa}
+        else:
+            pencil = {"applicable": False, "reason": "E is singular"}
         out["fallback"] = {
             "zero_peak_inequality": {
                 "holds": dom.holds,
@@ -291,7 +292,7 @@ def _structure_checks(model) -> dict:
                 "checked_up_to": dom.checked_up_to,
                 "tail_rule": dom.tail_rule,
             },
-            "pencil_stability": {"stable": stab.stable, "abscissa": stab.abscissa},
+            "pencil_stability": pencil,
         }
     return out
 
@@ -301,16 +302,20 @@ def _structure_checks(model) -> dict:
 
 
 def _cmd_synth(args):
-    model = load_model(args.model)
-    gain, _ = _synthesize(model, args)
+    form = _resolve(_parse(args.model), unit_h=args.unit_h)
+    gain = form.gain(args.omega0)
+    if args.weighted:
+        if form.plant is None:
+            raise InvalidInputError("weighted synthesis is not defined for machine networks")
+        Q = _matrix(_load_json(args.weighted), "Q", "")
+        gain = synth.weighted_gain(form.plant, Q, args.omega0)
     report = {
         "tool": {"name": "hinfkit", "version": __version__},
-        "model": _model_header(args.model, model),
+        "model": _model_header(args.model, form),
         "gain": _gain_report(gain),
     }
-    if isinstance(model, NetworkModel) and model.kind == "irrigation":
-        _, H = netgen.compile_irrigation(model, unit_h=args.unit_h)
-        report["disturbance_map"] = H.tolist()
+    if form.disturbance_map is not None:
+        report["disturbance_map"] = form.disturbance_map
     _emit(report, args.out)
     return EXIT_OK
 
@@ -320,27 +325,26 @@ def _grid_from(args):
 
 
 def _cmd_verify(args):
-    model = load_model(args.model)
+    form = _resolve(_parse(args.model))
     if args.gain:
-        if isinstance(model, NetworkModel) and model.kind == "machine":
+        if form.plant is None:
             raise InvalidInputError("machine networks certify their own modal law only")
         gain = _load_gain(args.gain, args.omega0)
-        plant = _plant_of(model)
     else:
-        gain, plant = _synthesize(model, args)
+        gain = form.gain(args.omega0)
 
     report = {
         "tool": {"name": "hinfkit", "version": __version__},
-        "model": _model_header(args.model, model),
+        "model": _model_header(args.model, form),
         "gain": _gain_report(gain),
         "tolerances": {"tol": args.tol},
-        "checks": _structure_checks(model),
+        "checks": _structure_checks(form),
     }
 
-    if isinstance(model, NetworkModel) and model.kind == "machine":
-        verdict = _verify_machine(model, gain, args, report)
+    if form.plant is None:
+        verdict = _verify_machine(gain, args, report)
     else:
-        cert = verify.certify_optimality(plant, gain, tol=args.tol, grid=_grid_from(args))
+        cert = verify.certify_optimality(form.plant, gain, tol=args.tol, grid=_grid_from(args))
         report["certificate"] = cert.to_dict()
         verdict = cert.verdict
     _emit(report, args.out)
@@ -349,9 +353,9 @@ def _cmd_verify(args):
     return EXIT_UNSTABLE if verdict == "unstable" else EXIT_SUBOPTIMAL
 
 
-def _verify_machine(model, gain, args, report):
+def _verify_machine(gain, args, report):
     """Certify every decoupled mode; the overall norm is the worst modal norm."""
-    m, d, L = netgen.compile_machine(model)
+    m, d = gain.metadata["mass"], gain.metadata["damping"]
     certs = []
     for mode in gain.metadata["modes"]:
         plant = modal_plant(m, d, mode["eigenvalue"])
@@ -370,15 +374,14 @@ def _verify_machine(model, gain, args, report):
 
 
 def _cmd_lower_bound(args):
-    model = load_model(args.model)
-    plant = _plant_of(model)
-    if plant is None:
+    form = _resolve(_parse(args.model))
+    if form.plant is None:
         raise InvalidInputError("lower-bound requires a model with a single plant form")
-    bound = verify.lower_bound(plant, grid=_grid_from(args))
+    bound = verify.lower_bound(form.plant, grid=_grid_from(args))
     _emit(
         {
             "tool": {"name": "hinfkit", "version": __version__},
-            "model": _model_header(args.model, model),
+            "model": _model_header(args.model, form),
             "lower_bound": {"value": bound.value, "omega": bound.omega},
         },
         args.out,
@@ -387,28 +390,28 @@ def _cmd_lower_bound(args):
 
 
 def _cmd_compare(args):
-    model = load_model(args.model)
-    if isinstance(model, RationalPlant):
+    form = _resolve(_parse(args.model))
+    if form.plant is None:
+        raise InvalidInputError(
+            "compare requires a model with a single descriptor form; "
+            "machine networks are verified per mode"
+        )
+    if form.descriptor is None:
         raise InvalidInputError("compare requires a descriptor or network model")
-    if isinstance(model, NetworkModel):
-        if model.kind == "machine":
-            raise InvalidInputError(
-                "compare requires a model with a single descriptor form; "
-                "machine networks are verified per mode"
-            )
-        descriptor = netgen.compile_network(model)
-    else:
-        descriptor = model
-    gain, plant = _synthesize(model, args)
-    cert = verify.certify_optimality(plant, gain, tol=args.tol, grid=_grid_from(args))
-    gamma_star, K_are = gamma_bisect(AreProblem.from_descriptor(descriptor), tol=args.tol)
+    if not form.state_space:
+        raise SingularMatrixError(
+            "E is singular; compare needs the state-space form the Riccati baseline is posed in"
+        )
+    gain = form.gain(args.omega0)
+    cert = verify.certify_optimality(form.plant, gain, tol=args.tol, grid=_grid_from(args))
+    gamma_star, K_are = gamma_bisect(AreProblem.from_descriptor(form.descriptor), tol=args.tol)
     are_gain = Gain(K_are, 0.0, "external")
     closed = verify.sparsity_pattern(gain)
     dense = verify.sparsity_pattern(are_gain)
     _emit(
         {
             "tool": {"name": "hinfkit", "version": __version__},
-            "model": _model_header(args.model, model),
+            "model": _model_header(args.model, form),
             "closed_form": {
                 "gain": _gain_report(gain),
                 "certificate": cert.to_dict(),
@@ -427,29 +430,21 @@ def _cmd_compare(args):
 
 
 def _cmd_freqresp(args):
-    model = load_model(args.model)
-    if args.gain:
-        gain = _load_gain(args.gain, args.omega0)
-        plant = _plant_of(model)
-    else:
-        gain, plant = _synthesize(model, args)
-    if plant is None:
+    form = _resolve(_parse(args.model))
+    gain = _load_gain(args.gain, args.omega0) if args.gain else form.gain(args.omega0)
+    if form.plant is None:
         raise InvalidInputError("freqresp requires a model with a single plant form")
     grid = _grid_from(args)
-    desc = plant.descriptor
-    rows = []
-    if desc is not None:
-        ss = close_loop(desc, gain)
-        for w in grid:
-            rows.append((float(w), float(np.linalg.norm(ss.transfer(w), 2))))
+    if form.state_space:
+        response = close_loop(form.descriptor, gain).transfer
     else:
-        from .sysmodel import eval_closed_rational
-
-        for w in grid:
-            try:
-                rows.append((float(w), float(np.linalg.norm(eval_closed_rational(plant, gain, w), 2))))
-            except PoleAtEvaluationError:
-                continue
+        response = lambda w: eval_closed_rational(form.plant, gain, w)
+    rows = []
+    for w in grid:
+        try:
+            rows.append((float(w), float(np.linalg.norm(response(w), 2))))
+        except PoleAtEvaluationError:
+            continue
     vmax = max(v for _, v in rows)
     lines = ["omega,sigma_max,is_peak"]
     marked = False
@@ -542,7 +537,7 @@ def _cmd_generate(args):
     net = NetworkModel(
         kind=kind, nodes=doc.get("nodes", 0), edges=doc.get("edges", []), params=doc["params"]
     )
-    _compile_for(net)  # validate before writing
+    _resolve(net)  # validate before writing
     _emit(doc, args.out)
     return EXIT_OK
 
@@ -582,26 +577,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify the gain; exit code encodes the verdict")
     p.add_argument("model")
     p.add_argument("--gain", default=None, help="JSON file with a gain matrix K to verify")
-    p.add_argument("--weighted", default=None, help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("lower-bound", help="synthesis lower bound over frequency")
     p.add_argument("model")
-    p.add_argument("--weighted", default=None, help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=_cmd_lower_bound)
 
     p = sub.add_parser("compare", help="closed-form gain versus Riccati bisection baseline")
     p.add_argument("model")
-    p.add_argument("--weighted", default=None, help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("freqresp", help="per-frequency closed-loop gain table (CSV)")
     p.add_argument("model")
     p.add_argument("--gain", default=None, help="JSON file with a gain matrix K")
-    p.add_argument("--weighted", default=None, help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=_cmd_freqresp)
 

@@ -102,6 +102,20 @@ def pseudoinverse(m) -> np.ndarray:
     return np.linalg.pinv(a, rcond=RANK_RTOL)
 
 
+def trimmed_coefficients(p) -> np.ndarray:
+    """Ascending coefficients of a Polynomial or sequence, trailing zeros trimmed.
+
+    The zero polynomial trims to [0.0]. Raises InvalidInputError on NaN/Inf.
+    """
+    c = np.atleast_1d(np.asarray(p.coefficients if isinstance(p, Polynomial) else p, dtype=float))
+    if c.ndim != 1:
+        raise DimensionError("polynomial coefficients must be one-dimensional")
+    if not np.all(np.isfinite(c)):
+        raise InvalidInputError("polynomial coefficients must be finite")
+    nz = np.nonzero(c)[0]
+    return c[: nz[-1] + 1] if nz.size else np.zeros(1)
+
+
 @dataclass
 class Polynomial:
     """Real polynomial with coefficients in ascending degree order.
@@ -113,13 +127,7 @@ class Polynomial:
     coefficients: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
-        if c.ndim != 1:
-            raise DimensionError("polynomial coefficients must be one-dimensional")
-        if not np.all(np.isfinite(c)):
-            raise InvalidInputError("polynomial coefficients must be finite")
-        nz = np.nonzero(c)[0]
-        self.coefficients = c[: nz[-1] + 1] if nz.size else np.zeros(1)
+        self.coefficients = trimmed_coefficients(self.coefficients)
 
     @property
     def degree(self) -> int:

@@ -3,9 +3,11 @@
 Two plant classes are supported. A DescriptorPlant is the matrix triple
 (E, A, B) describing E*xdot = A*x + B*u + w with y = x. A RationalPlant is
 the general frequency-domain form M(s)*y = N(s)*u + w with entries of M and
-N given as ratios of real polynomials. Descriptor plants convert exactly to
-rational ones; the rational object keeps a link back to its descriptor so
-that verification can use the cheaper state-space route.
+N given as ratios of real polynomials, stored as four coefficient tensors
+(numerator and denominator of M and of N). Descriptor plants convert
+exactly to rational ones by filling those tensors with -A, E and B; the
+rational object keeps a link back to its descriptor so that verification
+can use the cheaper state-space route.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .exceptions import (
     StandingAssumptionError,
 )
 from .freqgrid import default_grid
-from .linalg import Polynomial
 
 # Gains whose relative imaginary residue exceeds this are rejected as
 # non-realizable; see synth.
@@ -78,72 +79,75 @@ class DescriptorPlant:
         return self.B.shape[1]
 
     def to_rational(self) -> "RationalPlant":
-        """Entrywise polynomial form of (E*s - A, B), keeping a backlink."""
+        """Coefficient tensors of (E*s - A, B) over unit denominators, keeping a backlink."""
         n, m = self.n, self.m
-        M = [
-            [(Polynomial([-self.A[i, j], self.E[i, j]]), Polynomial([1.0])) for j in range(n)]
-            for i in range(n)
-        ]
-        N = [[(Polynomial([self.B[i, j]]), Polynomial([1.0])) for j in range(m)] for i in range(n)]
-        return RationalPlant(M, N, descriptor=self)
+        return RationalPlant._from_tensors(
+            np.stack([-self.A, self.E]),
+            np.ones((1, n, n)),
+            self.B[None].copy(),
+            np.ones((1, n, m)),
+            descriptor=self,
+        )
 
 
-def _coerce_entry(entry):
-    """Accept (num, den) pairs or bare numerator polynomials/sequences."""
-    if isinstance(entry, Polynomial):
-        return entry, Polynomial([1.0])
-    if isinstance(entry, tuple) and len(entry) == 2:
-        num, den = entry
-        num = num if isinstance(num, Polynomial) else Polynomial(num)
-        den = den if isinstance(den, Polynomial) else Polynomial(den)
-    else:
-        num, den = Polynomial(entry), Polynomial([1.0])
-    if den.is_zero():
+def _entry(entry):
+    """(num, den) coefficient arrays of a (num, den) pair or a bare numerator."""
+    num, den = entry if isinstance(entry, tuple) and len(entry) == 2 else (entry, [1.0])
+    num, den = (linalg.trimmed_coefficients(p) for p in (num, den))
+    if not den.any():
         raise InvalidInputError("rational entry has a zero denominator polynomial")
     return num, den
 
 
-def _coeff_tensor(entries, rows, cols, pick):
-    degree = max(pick(entries[i][j]).degree for i in range(rows) for j in range(cols))
-    t = np.zeros((degree + 1, rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            c = pick(entries[i][j]).coefficients
-            t[: len(c), i, j] = c
+def _tensor(entries, side, rows, cols):
+    """Coefficient tensor of shape (degree + 1, rows, cols) for one side of the pairs."""
+    t = np.zeros((max((len(e[side]) for row in entries for e in row), default=1), rows, cols))
+    for i, row in enumerate(entries):
+        for j, e in enumerate(row):
+            t[: len(e[side]), i, j] = e[side]
     return t
 
 
 class RationalPlant:
     """Plant M(s)*y = N(s)*u + w with rational matrix functions M (k x k) and N (k x m).
 
-    ``M`` and ``N`` are nested sequences whose entries are (num, den)
-    polynomial pairs; a bare coefficient sequence means den = 1.
+    ``M`` and ``N`` are nested sequences whose entries are (num, den) pairs
+    of Polynomials or ascending coefficient sequences; a bare numerator
+    means den = 1. They are parsed once into the coefficient tensors
+    ``m_num``, ``m_den`` (shape (degree + 1, k, k)) and ``n_num``, ``n_den``
+    (shape (degree + 1, k, m)), ascending in degree; the plant keeps only
+    those.
     """
 
     def __init__(self, M, N, descriptor: DescriptorPlant | None = None):
-        self.M = [[_coerce_entry(e) for e in row] for row in M]
-        self.N = [[_coerce_entry(e) for e in row] for row in N]
-        self.descriptor = descriptor
-        k = len(self.M)
-        if k == 0 or any(len(row) != k for row in self.M):
+        M = [[_entry(e) for e in row] for row in M]
+        N = [[_entry(e) for e in row] for row in N]
+        k = len(M)
+        if k == 0 or any(len(row) != k for row in M):
             raise DimensionError("M must be square and nonempty")
-        if len(self.N) != k:
-            raise DimensionError(f"N must have {k} rows, got {len(self.N)}")
-        m = len(self.N[0]) if self.N[0] is not None else 0
-        if any(len(row) != m for row in self.N):
+        if len(N) != k:
+            raise DimensionError(f"N must have {k} rows, got {len(N)}")
+        m = len(N[0])
+        if any(len(row) != m for row in N):
             raise DimensionError("rows of N must have equal length")
-        self._m_num = _coeff_tensor(self.M, k, k, lambda e: e[0])
-        self._m_den = _coeff_tensor(self.M, k, k, lambda e: e[1])
-        self._n_num = _coeff_tensor(self.N, k, m, lambda e: e[0]) if m else np.zeros((1, k, 0))
-        self._n_den = _coeff_tensor(self.N, k, m, lambda e: e[1]) if m else np.ones((1, k, 0))
+        self.m_num, self.m_den = (_tensor(M, side, k, k) for side in (0, 1))
+        self.n_num, self.n_den = (_tensor(N, side, k, m) for side in (0, 1))
+        self.descriptor = descriptor
+
+    @classmethod
+    def _from_tensors(cls, m_num, m_den, n_num, n_den, descriptor=None) -> "RationalPlant":
+        plant = cls.__new__(cls)
+        plant.m_num, plant.m_den, plant.n_num, plant.n_den = m_num, m_den, n_num, n_den
+        plant.descriptor = descriptor
+        return plant
 
     @property
     def k(self) -> int:
-        return len(self.M)
+        return self.m_num.shape[1]
 
     @property
     def m(self) -> int:
-        return len(self.N[0])
+        return self.n_num.shape[2]
 
     def _eval(self, num_t, den_t, s):
         num = np.polynomial.polynomial.polyval(s, num_t)
@@ -154,11 +158,11 @@ class RationalPlant:
 
     def eval_M(self, omega: float) -> np.ndarray:
         """M(j*omega) as a complex k x k matrix."""
-        return self._eval(self._m_num, self._m_den, 1j * float(omega))
+        return self._eval(self.m_num, self.m_den, 1j * float(omega))
 
     def eval_N(self, omega: float) -> np.ndarray:
         """N(j*omega) as a complex k x m matrix."""
-        return self._eval(self._n_num, self._n_den, 1j * float(omega))
+        return self._eval(self.n_num, self.n_den, 1j * float(omega))
 
     def check_standing_assumptions(self, grid=None) -> None:
         """Verify well-posedness on a frequency grid.
@@ -308,9 +312,8 @@ def droop_plant(omega0: float, zeta: float) -> RationalPlant:
     """
     if omega0 <= 0 or zeta <= 0:
         raise InvalidInputError("droop plant requires omega0 > 0 and zeta > 0")
-    M = [[(Polynomial([1.0, 2.0 * zeta / omega0, 1.0 / omega0**2]), Polynomial([0.0, 1.0]))]]
-    N = [[(Polynomial([1.0]), Polynomial([1.0]))]]
-    return RationalPlant(M, N)
+    M = [[([1.0, 2.0 * zeta / omega0, 1.0 / omega0**2], [0.0, 1.0])]]
+    return RationalPlant(M, [[[1.0]]])
 
 
 def modal_plant(m: float, d: float, lam: float) -> RationalPlant:
@@ -324,8 +327,7 @@ def modal_plant(m: float, d: float, lam: float) -> RationalPlant:
     if lam < 0:
         raise InvalidInputError("modal eigenvalue must be nonnegative")
     if lam == 0:
-        M = [[(Polynomial([d, m]), Polynomial([1.0]))]]
+        M = [[[d, m]]]
     else:
-        M = [[(Polynomial([lam, d, m]), Polynomial([0.0, 1.0]))]]
-    N = [[(Polynomial([1.0]), Polynomial([1.0]))]]
-    return RationalPlant(M, N)
+        M = [[([lam, d, m], [0.0, 1.0])]]
+    return RationalPlant(M, [[[1.0]]])

@@ -219,11 +219,6 @@ def weighted_lower_bound(plant: RationalPlant, weight, grid=None) -> BoundResult
     return BoundResult(res.value, res.omega)
 
 
-def _rational_entry_scale(entry, c: float):
-    num, den = entry
-    return num.scale(c), den
-
-
 def _rmul(a, b):
     return a[0] * b[0], a[1] * b[1]
 
@@ -261,14 +256,23 @@ def rational_stability(plant: RationalPlant, gain: Gain) -> StabilityResult:
             f"rational pole scan supports plants up to size {DET_SIZE_MAX}, got {k}"
         )
     K = gain.K
+
+    def entries(num, den):
+        return [
+            [(Polynomial(num[:, i, j]), Polynomial(den[:, i, j])) for j in range(num.shape[2])]
+            for i in range(k)
+        ]
+
+    M, N = entries(plant.m_num, plant.m_den), entries(plant.n_num, plant.n_den)
     closed = []
     for i in range(k):
         row = []
         for j in range(k):
-            acc = plant.M[i][j]
+            acc = M[i][j]
             for l in range(m):
                 if K[l, j] != 0.0:
-                    acc = _radd(acc, _rational_entry_scale(plant.N[i][l], -K[l, j]))
+                    num, den = N[i][l]
+                    acc = _radd(acc, (num.scale(-K[l, j]), den))
             row.append(acc)
         closed.append(row)
     num, _ = _rational_det(closed)
@@ -329,7 +333,6 @@ def certify_optimality(
     """
     desc = plant.descriptor
     method = "state-space"
-    stab = None
     if desc is not None:
         try:
             stab = pencil_stability(desc, gain)
@@ -349,7 +352,21 @@ def certify_optimality(
         "lower_bound_frequency": lb.omega,
     }
 
-    if not stab.stable:
+    window = freqgrid.PEAK_WINDOW_RTOL * (1.0 + abs(gain.omega0))
+    norm = None
+    if stab.stable and desc is not None:
+        try:
+            norm, peak = hinf_norm_ss(close_loop(desc, gain))
+        except (SingularMatrixError, UnstableSystemError):
+            details["method"] = "grid"
+    if stab.stable and norm is None:
+        try:
+            res = _closed_loop_peak(plant, gain, grid)
+            norm, peak, window = res.value, res.omega, max(window, res.window)
+        except PoleOnAxisError:
+            pass  # a pole on the axis: the loop is not stable after all
+
+    if norm is None:
         return Certificate(
             stable=False,
             hinf_norm=math.inf,
@@ -360,30 +377,6 @@ def certify_optimality(
             tolerances=tolerances,
             details=details,
         )
-
-    window = freqgrid.PEAK_WINDOW_RTOL * (1.0 + abs(gain.omega0))
-    if desc is not None:
-        try:
-            norm, peak = hinf_norm_ss(close_loop(desc, gain))
-        except (SingularMatrixError, UnstableSystemError):
-            res = _closed_loop_peak(plant, gain, grid)
-            norm, peak, window = res.value, res.omega, max(window, res.window)
-            details["method"] = "grid"
-    else:
-        try:
-            res = _closed_loop_peak(plant, gain, grid)
-        except PoleOnAxisError:
-            return Certificate(
-                stable=False,
-                hinf_norm=math.inf,
-                peak_frequency=math.nan,
-                lower_bound=lb.value,
-                gap=math.inf,
-                verdict="unstable",
-                tolerances=tolerances,
-                details=details,
-            )
-        norm, peak, window = res.value, res.omega, max(window, res.window)
 
     gap = norm - lb.value
     gap_ok = abs(gap) <= tol * (1.0 + lb.value)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from hinfkit.cli import (
@@ -265,3 +266,65 @@ class TestGenerate:
             ["generate", "buffer", "--rates", "1,-2", "--edges", "0-1", "--out", str(out)]
         ) == EXIT_INVARIANT
         assert not out.exists()
+
+
+@pytest.fixture
+def singular_e_model(tmp_path):
+    """E = diag(1, 0), A = -I, B = I: an algebraic second state."""
+    return write(
+        tmp_path / "singular_e.model",
+        {"format": 1, "kind": "descriptor", "E": [[1.0, 0.0], [0.0, 0.0]],
+         "A": [[-1.0, 0.0], [0.0, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]},
+    )
+
+
+class TestSingularDescriptor:
+    def test_library_certifies_on_grid(self):
+        from hinfkit import certify_optimality, descriptor_gain
+
+        plant = DescriptorPlant(np.diag([1.0, 0.0]), -np.eye(2), np.eye(2))
+        cert = certify_optimality(plant.to_rational(), descriptor_gain(plant))
+        assert cert.verdict == "optimal"
+        assert cert.details["method"] == "grid"
+
+    def test_verify_emits_certificate(self, singular_e_model, tmp_path):
+        out = tmp_path / "v.json"
+        assert main(["verify", singular_e_model, "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["certificate"]["verdict"] == "optimal"
+        assert doc["certificate"]["details"]["method"] == "grid"
+        pencil = doc["checks"]["fallback"]["pencil_stability"]
+        assert pencil["applicable"] is False
+        assert "zero_peak_inequality" in doc["checks"]["fallback"]
+
+    def test_freqresp_tabulates(self, singular_e_model, tmp_path):
+        from hinfkit import Gain, eval_closed_rational
+
+        out = tmp_path / "r.csv"
+        assert main(["freqresp", singular_e_model, "--points", "20", "--out", str(out)]) == EXIT_OK
+        rows = out.read_text().strip().splitlines()[1:]
+        assert len(rows) == 21
+        plant = DescriptorPlant(np.diag([1.0, 0.0]), -np.eye(2), np.eye(2)).to_rational()
+        w, v, _ = rows[5].split(",")
+        expect = np.linalg.norm(eval_closed_rational(plant, Gain(-np.eye(2)), float(w)), 2)
+        assert float(v) == expect
+
+    def test_compare_refuses_singular_E(self, singular_e_model, capsys):
+        assert main(["compare", singular_e_model]) == EXIT_INVARIANT
+        assert "singular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["verify", "lower-bound", "compare", "freqresp"])
+def test_weighted_only_on_synth(cmd, lag_model, tmp_path, capsys):
+    qfile = write(tmp_path / "q.json", {"Q": [[2.0]]})
+    with pytest.raises(SystemExit) as err:
+        main([cmd, lag_model, "--weighted", qfile])
+    assert err.value.code == 2
+    assert "--weighted" in capsys.readouterr().err
+
+
+def test_rational_model_with_nan_coefficient(tmp_path, capsys):
+    p = tmp_path / "nan.model"
+    p.write_text('{"format": 1, "kind": "rational", "M": [[[1.0, NaN]]], "N": [[[1.0]]]}')
+    assert main(["verify", str(p)]) == EXIT_INVARIANT
+    assert "finite" in capsys.readouterr().err

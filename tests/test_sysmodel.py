@@ -168,3 +168,54 @@ def test_state_space_dims_checked():
 def test_gain_requires_finite_entries():
     with pytest.raises(InvalidInputError):
         Gain([[np.inf]])
+
+
+class TestRationalPlantInput:
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(InvalidInputError):
+            RationalPlant([[([1.0, 1.0], [0.0])]], [[[1.0]]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_coefficient_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            RationalPlant([[[1.0, bad]]], [[[1.0]]])
+        with pytest.raises(InvalidInputError):
+            RationalPlant([[[1.0, 1.0]]], [[([1.0], [1.0, bad])]])
+
+    def test_non_square_M_rejected(self):
+        with pytest.raises(DimensionError):
+            RationalPlant([[[1.0], [0.0]]], [[[1.0]]])
+
+    def test_N_row_count_checked(self):
+        with pytest.raises(DimensionError):
+            RationalPlant([[[1.0]]], [[[1.0]], [[1.0]]])
+
+    def test_ragged_N_rejected(self):
+        with pytest.raises(DimensionError):
+            RationalPlant([[[1.0], [0.0]], [[0.0], [1.0]]], [[[1.0], [2.0]], [[1.0]]])
+
+    def test_polynomial_pairs_match_bare_lists(self):
+        from hinfkit import Polynomial
+
+        pairs = RationalPlant(
+            [[(Polynomial([2.0, 1.0]), Polynomial([1.0, 3.0])), (Polynomial([0.5]), Polynomial([1.0]))],
+             [(Polynomial([0.0]), Polynomial([1.0])), (Polynomial([1.0, 0.0, 1.0]), Polynomial([1.0]))]],
+            [[(Polynomial([1.0, -1.0]), Polynomial([2.0]))], [(Polynomial([3.0]), Polynomial([1.0]))]],
+        )
+        bare = RationalPlant(
+            [[([2.0, 1.0], [1.0, 3.0]), [0.5]], [[0.0], [1.0, 0.0, 1.0]]],
+            [[([1.0, -1.0], [2.0])], [[3.0]]],
+        )
+        for w in (0.0, 0.3, 1.0, 7.5):
+            np.testing.assert_array_equal(pairs.eval_M(w), bare.eval_M(w))
+            np.testing.assert_array_equal(pairs.eval_N(w), bare.eval_N(w))
+
+    def test_to_rational_of_non_diagonal_E_is_exact(self):
+        E = np.array([[2.0, 0.5, 0.0], [0.25, 1.0, -0.75], [0.0, 0.125, 3.0]])
+        A = np.array([[-1.0, 0.5, 0.0], [0.0, -2.0, 1.0], [0.25, 0.0, -3.0]])
+        B = np.array([[1.0, 0.0], [0.5, -1.0], [0.0, 2.0]])
+        rp = DescriptorPlant(E, A, B).to_rational()
+        assert (rp.k, rp.m) == (3, 2)
+        for w in (0.0, 0.5, 1.0, 3.0, 1e3):
+            np.testing.assert_array_equal(rp.eval_M(w), 1j * w * E - A)
+            np.testing.assert_array_equal(rp.eval_N(w), B)
