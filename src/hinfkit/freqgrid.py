@@ -49,7 +49,7 @@ class PeakResult:
 
 
 def _golden_max(f, a, b, window_rtol):
-    """Golden-section maximization on [a, b]; returns (best_value, midpoint, samples)."""
+    """Golden-section maximization on [a, b]; returns (best, midpoint, samples, width)."""
     samples = []
 
     def probe(x):

@@ -39,12 +39,16 @@ from .sysmodel import (
 # relative to the scale of the state matrix.
 STABILITY_MARGIN_RTOL = 1e-9
 
-# Hamiltonian eigenvalues this close to the imaginary axis count as being
-# on it during norm bisection.
-AXIS_RTOL = 1e-8
+# Hamiltonian eigenvalues this close to the imaginary axis are candidate
+# crossings of a norm level; sigma_max there confirms or rejects them, so the
+# tolerance also keeps the near-double pair that rounding moves off the axis.
+AXIS_RTOL = 1e-5
 
-# Default relative accuracy of the bisection norm.
-NORM_BISECT_RTOL = 1e-8
+# Default relative width of the certified norm bracket.
+NORM_RTOL = 1e-8
+
+# Level cap of the quadratically convergent norm iteration.
+NORM_ITER_MAX = 50
 
 # Default certification tolerance on |norm - lower bound|.
 CERT_RTOL = 1e-6
@@ -91,14 +95,19 @@ def _imag_axis_frequencies(H: np.ndarray) -> np.ndarray:
     return np.unique(np.abs(ev[on_axis].imag))
 
 
-def hinf_norm_ss(ss: StateSpace, tol: float = NORM_BISECT_RTOL) -> NormResult:
+def hinf_norm_ss(ss: StateSpace, tol: float = NORM_RTOL) -> NormResult:
     """H-infinity norm of a stable, strictly proper state-space system.
 
-    Bisection on gamma: gamma exceeds the norm exactly when the Hamiltonian
-    [[A, gamma^-2 B B^T], [-C^T C, -A^T]] has no imaginary-axis eigenvalues.
-    The peak frequency is read off the axis eigenvalues at the last level
-    that still had them, then polished by golden-section search on the
-    largest singular value.
+    Level-set iteration (Bruinsma and Steinbuch, 1990), seeded at w = 0 and
+    one pole frequency: a level gamma lies below the norm exactly when the
+    Hamiltonian [[A, gamma^-2 B B^T], [-C^T C, -A^T]] has imaginary-axis
+    eigenvalues, at the frequencies where some singular value equals gamma.
+    Each step tests gamma = (1 + tol) * lb and raises lb to the largest
+    sigma_max at the crossings and the midpoints between them, which
+    converges quadratically; it stops when no candidate reaches gamma. The
+    norm is the midpoint of the bracket [lb, gamma]. The peak frequency is
+    the smallest best-valued sample of a golden-section search around the
+    last crossings and the best sample.
     """
     A, B, C, D = ss.A, ss.B, ss.C, ss.D
     if spectral_norm(D) != 0.0:
@@ -108,69 +117,57 @@ def hinf_norm_ss(ss: StateSpace, tol: float = NORM_BISECT_RTOL) -> NormResult:
         raise UnstableSystemError(
             f"state matrix is not Hurwitz (abscissa {eigs.real.max():.3e})"
         )
-    n = A.shape[0]
     BBt = B @ B.T
     CtC = C.T @ C
-    eye = np.eye(n)
+    eye = np.eye(A.shape[0])
 
     def smax(w: float) -> float:
-        return spectral_norm(C @ np.linalg.solve(1j * w * eye - A, B))
+        X = np.linalg.solve(1j * w * eye - A, B)
+        return math.sqrt(max(float(np.linalg.eigvalsh(X.conj().T @ CtC @ X)[-1]), 0.0))
 
-    samples = {0.0}
-    for lam in eigs:
-        samples.add(abs(float(lam.imag)))
-        samples.add(abs(complex(lam)))
-    lb, w_seed = max((smax(w), w) for w in sorted(samples))
+    # Seed at w = 0 and at the pole most likely to carry a resonant peak.
+    if np.any(eigs.imag):
+        w_pole = abs(eigs[np.argmax(np.abs(eigs.imag / eigs.real) / np.abs(eigs))])
+    else:
+        w_pole = np.abs(eigs).min()
+    lb, w_best = max((smax(w), w) for w in (0.0, float(w_pole)))
     if lb == 0.0:
         return NormResult(0.0, 0.0)
 
-    def axis_freqs(gamma: float) -> np.ndarray:
-        H = np.block([[A, BBt / gamma**2], [-CtC, -A.T]])
-        return _imag_axis_frequencies(H)
-
-    ub = 2.0 * lb
-    for _ in range(200):
-        if axis_freqs(ub).size == 0:
+    crossings = np.array([])
+    for _ in range(NORM_ITER_MAX):
+        gamma = (1.0 + tol) * lb
+        freqs = _imag_axis_frequencies(np.block([[A, BBt / gamma**2], [-CtC, -A.T]]))
+        cand = np.concatenate((freqs, 0.5 * (freqs[1:] + freqs[:-1])))
+        best, w = max(((smax(x), x) for x in cand), default=(0.0, 0.0))
+        # No crossing at gamma, or only near-axis eigenvalues of a level
+        # above the peak: gamma bounds the norm from above.
+        if best < gamma:
             break
-        lb = ub
-        ub *= 2.0
+        lb, w_best, crossings = best, float(w), freqs
     else:
         raise NumericalError(
-            f"norm bisection could not bracket from above (lb={lb:.6e}, ub={ub:.6e})"
+            f"level-set norm iteration did not converge in {NORM_ITER_MAX} steps (lb={lb:.6e})"
         )
 
-    last_freqs = np.array([])
-    while ub - lb > tol * lb:
-        gamma = 0.5 * (lb + ub)
-        freqs = axis_freqs(gamma)
-        if freqs.size:
-            lb, last_freqs = gamma, freqs
-        else:
-            ub = gamma
-
-    norm = 0.5 * (lb + ub)
-    peak = _refine_ss_peak(smax, last_freqs, w_seed)
+    norm = (1.0 + 0.5 * tol) * lb
+    peak = _refine_ss_peak(smax, crossings, w_best)
     return NormResult(float(norm), float(peak))
 
 
 def _refine_ss_peak(smax, axis_freqs: np.ndarray, w_seed: float) -> float:
-    cand = {0.0, float(w_seed)}
     freqs = sorted(float(w) for w in axis_freqs)
-    cand.update(freqs)
-    for a, b in zip(freqs, freqs[1:]):
-        cand.add(0.5 * (a + b))
-    cand = sorted(cand)
+    mids = (0.5 * (a + b) for a, b in zip(freqs, freqs[1:]))
+    cand = sorted({0.0, float(w_seed), *freqs, *mids})
     values = [smax(w) for w in cand]
     i = int(np.argmax(values))
     a = cand[i - 1] if i > 0 else cand[i]
     b = cand[i + 1] if i < len(cand) - 1 else cand[i] * 2 + 1e-3
-    best, mid, _, _ = freqgrid._golden_max(smax, a, b, freqgrid.PEAK_WINDOW_RTOL)
-    best = max(best, values[i])
-    tie = best - freqgrid.TIE_RTOL * abs(best)
-    contenders = [w for w, v in zip(cand, values) if v >= tie]
-    if best >= tie:
-        contenders.append(mid)
-    return min(contenders)
+    _, mid, samples, _ = freqgrid._golden_max(smax, a, b, freqgrid.PEAK_WINDOW_RTOL)
+    samples += zip(cand, values)
+    samples.append((mid, smax(mid)))
+    tie = (1.0 - freqgrid.TIE_RTOL) * max(v for _, v in samples)
+    return min(w for w, v in samples if v >= tie)
 
 
 def _closed_loop_peak(plant: RationalPlant, gain: Gain, grid=None) -> PeakResult:
@@ -327,7 +324,7 @@ def certify_optimality(
 ) -> Certificate:
     """Run the full certificate: stability, norm with peak, lower bound.
 
-    Descriptor-backed plants use the pencil test and the bisection norm;
+    Descriptor-backed plants use the pencil test and the level-set norm;
     everything else falls back to the rational pole scan and the grid norm.
     The verdict never raises; failures are encoded in it.
     """

@@ -7,6 +7,9 @@ report does not depend on where the test runs. Regenerate the files only
 when a report is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Regeneration prints every field it rewrites, with its path, old value, new
+value and relative change, so a moved digit is visible in review.
 """
 
 import contextlib
@@ -84,8 +87,68 @@ def test_golden_output(case, tmp_path, monkeypatch):
     assert stdout.encode() == want
 
 
+def _fields(text):
+    """{path: value} for every leaf of a JSON report or every cell of a CSV table."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        rows = [line.split(",") for line in text.splitlines()]
+        header = rows[0] if rows else []
+        return {f"[{i}].{name}": cell for i, row in enumerate(rows[1:])
+                for name, cell in zip(header, row)}
+    out = {}
+
+    def walk(value, path):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, f"{path}.{key}" if path else key)
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                walk(item, f"{path}[{i}]")
+        else:
+            out[path] = value
+
+    walk(doc, "")
+    return out
+
+
+def _relative(old, new):
+    try:
+        a, b = float(old), float(new)
+    except (TypeError, ValueError):
+        return "-"
+    return f"{(b - a) / abs(a):+.3e}" if a else "-"
+
+
+def field_diff(case, old, new):
+    """One line per field that differs: case, path, old value, new value, relative change."""
+    before, after = _fields(old), _fields(new)
+    lines = []
+    for path in sorted(before.keys() | after.keys()):
+        a, b = before.get(path, "<absent>"), after.get(path, "<absent>")
+        if a != b:
+            lines.append(f"{case}  {path}  {a!r} -> {b!r}  rel {_relative(a, b)}")
+    return lines
+
+
+def test_field_diff_names_each_changed_field():
+    old = '{"a": {"x": 1.0, "y": "s"}, "b": [1, 2]}'
+    new = '{"a": {"x": 1.5, "y": "s"}, "b": [1, 3], "c": true}'
+    assert field_diff("m.verify", old, new) == [
+        "m.verify  a.x  1.0 -> 1.5  rel +5.000e-01",
+        "m.verify  b[1]  2 -> 3  rel +5.000e-01",
+        "m.verify  c  '<absent>' -> True  rel -",
+    ]
+    table = "omega,sigma_max\n0.0,1.0\n1.0,0.5\n"
+    assert field_diff("m.freqresp", table, table.replace("0.5", "0.25")) == [
+        "m.freqresp  [1].sigma_max  '0.5' -> '0.25'  rel -5.000e-01",
+    ]
+
+
 def regenerate():
+    """Rewrite tests/golden/ and print every field that changed."""
     GOLDEN.mkdir(exist_ok=True)
+    previous = json.loads(INDEX.read_text()) if INDEX.exists() else {}
     index = {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -94,6 +157,13 @@ def regenerate():
             for case in CASES:
                 code, stderr, stdout = run_case(case)
                 name = f"{case}.out" if stdout else None
+                old = previous.get(case, {})
+                old_out = (GOLDEN / old["stdout"]).read_text() if old.get("stdout") else ""
+                for key, value in (("exit", code), ("stderr", stderr)):
+                    if key in old and old[key] != value:
+                        print(f"{case}  {key}  {old[key]!r} -> {value!r}")
+                for line in field_diff(case, old_out, stdout):
+                    print(line)
                 if name:
                     (GOLDEN / name).write_bytes(stdout.encode())
                 index[case] = {"exit": code, "stderr": stderr, "stdout": name}
