@@ -249,7 +249,7 @@ def _emit(doc, out_path):
 def _gain_report(gain: Gain) -> dict:
     pattern = verify.sparsity_pattern(gain)
     return {
-        "K": gain.K.tolist(),
+        "K": gain.K,
         "omega0": gain.omega0,
         "formula": gain.formula,
         "metadata": _jsonable(gain.metadata),
@@ -418,7 +418,7 @@ def _cmd_compare(args):
             },
             "baseline": {
                 "gamma_star": gamma_star,
-                "K": K_are.tolist(),
+                "K": K_are,
                 "sparsity": {"zeros": dense.zeros, "nonzeros": dense.nonzeros},
             },
             "norm_ratio": cert.hinf_norm / gamma_star if gamma_star else None,

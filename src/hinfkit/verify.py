@@ -183,13 +183,27 @@ def hinf_norm_grid(plant: RationalPlant, gain: Gain, grid=None) -> NormResult:
 
 
 def _bound_function(plant: RationalPlant, Qp: np.ndarray | None):
+    desc = plant.descriptor
+    if desc is None:
+        def gram(w: float) -> np.ndarray:
+            Mw = plant.eval_M(w)
+            Nw = plant.eval_N(w)
+            if Qp is not None:
+                Mw = Mw @ Qp
+            return Mw @ Mw.conj().T + Nw @ Nw.conj().T
+    else:
+        # M P M^* + N N^* for M = jwE - A, P = Qp Qp^T or I; real when F = 0.
+        E, A, B = desc.E, desc.A, desc.B
+        AP, EP = (A, E) if Qp is None else (A @ Qp @ Qp.T, E @ Qp @ Qp.T)
+        EPE, X, G = EP @ E.T, AP @ E.T, AP @ A.T + B @ B.T
+        F = X - X.T
+
+        def gram(w: float) -> np.ndarray:
+            S = G + (w * w) * EPE
+            return S + (1j * w) * F if F.any() else S
+
     def f(w: float) -> float:
-        Mw = plant.eval_M(w)
-        Nw = plant.eval_N(w)
-        if Qp is not None:
-            Mw = Mw @ Qp
-        S = Mw @ Mw.conj().T + Nw @ Nw.conj().T
-        lam = np.linalg.eigvalsh(S)
+        lam = np.linalg.eigvalsh(gram(w))
         if lam[0] <= linalg.RANK_RTOL * max(lam[-1], 1e-300):
             raise SingularMatrixError(
                 f"M M^* + N N^* is singular at omega={w:g}; "
@@ -203,14 +217,19 @@ def _bound_function(plant: RationalPlant, Qp: np.ndarray | None):
 def lower_bound(plant: RationalPlant, grid=None) -> BoundResult:
     """sup over frequency of ||(M M^* + N N^*)^{-1}||^{1/2} and its argmax.
 
-    No gain can push the closed-loop norm below this value.
+    No gain can push the closed-loop norm below this value. Descriptor-backed
+    plants sample G + w^2 E E^T + jw F with G = A A^T + B B^T, F = A E^T - E A^T,
+    in real arithmetic when F = 0; other plants evaluate M(jw) and N(jw).
     """
     res = adaptive_max(_bound_function(plant, None), grid=grid)
     return BoundResult(res.value, res.omega)
 
 
 def weighted_lower_bound(plant: RationalPlant, weight, grid=None) -> BoundResult:
-    """Lower bound for the cost |Q y|^2 + |u|^2, using M Q^+ in place of M."""
+    """Lower bound for the cost |Q y|^2 + |u|^2, using M Q^+ in place of M.
+
+    Descriptor plants put P = Q^+ Q^+^T into A P A^T, E P E^T and A P E^T.
+    """
     w = weight if isinstance(weight, WeightedObjective) else WeightedObjective(weight)
     res = adaptive_max(_bound_function(plant, w.pinv), grid=grid)
     return BoundResult(res.value, res.omega)
