@@ -237,8 +237,27 @@ def _jsonable(x):
     return str(x)
 
 
+def _text(x, pad=""):
+    """json.dumps(x, indent=2, sort_keys=True) for str-keyed documents.
+
+    Containers that hold no container go to the C encoder in one call, with
+    the indented item separator; only the nesting above them runs in Python.
+    """
+    inner = pad + "  "
+    if isinstance(x, dict) and any(isinstance(v, (dict, list)) for v in x.values()):
+        items = (f"{json.dumps(k)}: {_text(v, inner)}" for k, v in sorted(x.items()))
+        s = "{" + (",\n" + inner).join(items) + "}"
+    elif isinstance(x, list) and any(isinstance(v, (dict, list)) for v in x):
+        s = "[" + (",\n" + inner).join(_text(v, inner) for v in x) + "]"
+    else:
+        s = json.dumps(x, sort_keys=True, separators=(",\n" + inner, ": "))
+    if isinstance(x, (dict, list)) and x:
+        s = s[0] + "\n" + inner + s[1:-1] + "\n" + pad + s[-1]
+    return s
+
+
 def _emit(doc, out_path):
-    text = json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
+    text = _text(_jsonable(doc)) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

@@ -211,7 +211,26 @@ def _bound_function(plant: RationalPlant, Qp: np.ndarray | None):
             )
         return 1.0 / math.sqrt(lam[0])
 
+    # With F = 0, S(w) = G + w^2 E P E^T is nondecreasing in the Loewner order.
+    f.nondecreasing = desc is not None and not F.any()
     return f
+
+
+def _sup_bound(plant: RationalPlant, Qp: np.ndarray | None, grid) -> BoundResult:
+    f = _bound_function(plant, Qp)
+    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    if f.nondecreasing and grid.size:
+        # With t = w^2, lambda_min(S) is concave and lambda_max convex in t, so their
+        # ratio is quasiconcave: the singular test fires on the grid only if at an end.
+        lo = float(grid.min())
+        try:
+            value = f(lo)
+            f(float(grid.max()))
+            return BoundResult(value, lo)
+        except SingularMatrixError:
+            pass  # the sweep raises at the first singular sample
+    res = adaptive_max(f, grid=grid)
+    return BoundResult(res.value, res.omega)
 
 
 def lower_bound(plant: RationalPlant, grid=None) -> BoundResult:
@@ -220,9 +239,11 @@ def lower_bound(plant: RationalPlant, grid=None) -> BoundResult:
     No gain can push the closed-loop norm below this value. Descriptor-backed
     plants sample G + w^2 E E^T + jw F with G = A A^T + B B^T, F = A E^T - E A^T,
     in real arithmetic when F = 0; other plants evaluate M(jw) and N(jw).
+    When F = 0 bitwise, S(w) = G + w^2 E E^T only grows with w, so the
+    supremum is read at the lowest grid frequency with no sweep; the highest
+    is evaluated too, so that a singular Gram raises as the sweep would.
     """
-    res = adaptive_max(_bound_function(plant, None), grid=grid)
-    return BoundResult(res.value, res.omega)
+    return _sup_bound(plant, None, grid)
 
 
 def weighted_lower_bound(plant: RationalPlant, weight, grid=None) -> BoundResult:
@@ -231,8 +252,7 @@ def weighted_lower_bound(plant: RationalPlant, weight, grid=None) -> BoundResult
     Descriptor plants put P = Q^+ Q^+^T into A P A^T, E P E^T and A P E^T.
     """
     w = weight if isinstance(weight, WeightedObjective) else WeightedObjective(weight)
-    res = adaptive_max(_bound_function(plant, w.pinv), grid=grid)
-    return BoundResult(res.value, res.omega)
+    return _sup_bound(plant, w.pinv, grid)
 
 
 def _rmul(a, b):

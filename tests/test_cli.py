@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hinfkit.cli import (
     EXIT_INVARIANT,
@@ -9,6 +12,7 @@ from hinfkit.cli import (
     EXIT_SCHEMA,
     EXIT_SUBOPTIMAL,
     EXIT_UNSTABLE,
+    _text,
     load_model,
     main,
 )
@@ -328,3 +332,28 @@ def test_rational_model_with_nan_coefficient(tmp_path, capsys):
     p.write_text('{"format": 1, "kind": "rational", "M": [[[1.0, NaN]]], "N": [[[1.0]]]}')
     assert main(["verify", str(p)]) == EXIT_INVARIANT
     assert "finite" in capsys.readouterr().err
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e16, 0.1, 1e-300]),
+    st.text(),
+    st.sampled_from(["", "\u00e9\u03c9\u2208", "\"quoted\"", "back\\slash", "tab\tnew\nline\x00", "\U0001f600"]),
+    st.just([]),
+    st.just({}),
+)
+
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(st.lists(children, max_size=5), st.dictionaries(st.text(), children, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(DOCUMENTS)
+def test_report_text_matches_indented_json(doc):
+    assert _text(doc) == json.dumps(doc, indent=2, sort_keys=True)

@@ -19,8 +19,10 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import random_buffer
 from hinfkit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -57,6 +59,10 @@ MODELS = {
                                         "edges": [[0, 1, 1.0], [1, 2, 1.0]]}),
     "ring": _network("circulant", 0, {"row": [-3.0, 1.0, 0.0, 1.0]}),
 }
+
+# A 20-node buffer with 10 chords: the reports pin a 58 x 20 gain.
+_buffer20 = random_buffer(np.random.default_rng(20), 20)
+MODELS["buffer20"] = _network("buffer", 20, {"a": _buffer20.params["a"].tolist()}, _buffer20.edges)
 
 # The droop gain is sampled at the plant's resonance.
 EXTRA = {"droop": ["--omega0", "2"]}

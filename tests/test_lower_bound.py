@@ -4,7 +4,8 @@ A descriptor-backed plant evaluates M P M^* + N N^* as the precomputed
 quadratic G + w^2 E P E^T + j w F. These tests build the same Gram matrix
 directly from M(jw) = jwE - A and N = B, and compare the bound with the
 one a rational plant of the same coefficients, without the descriptor
-link, computes from M(jw) and N(jw).
+link, computes from M(jw) and N(jw). When F = 0 the bound is read at the
+ends of the grid with no sweep; it is compared with the sweep it replaces.
 """
 
 from unittest import mock
@@ -18,6 +19,7 @@ from conftest import random_buffer
 from hinfkit import DescriptorPlant, NetworkModel, compile_buffer, compile_irrigation
 from hinfkit.exceptions import SingularMatrixError
 from hinfkit.sysmodel import RationalPlant, WeightedObjective
+from hinfkit.freqgrid import TIE_RTOL, adaptive_max, default_grid
 from hinfkit.verify import _bound_function, lower_bound, weighted_lower_bound
 
 EPS = np.finfo(float).eps
@@ -131,9 +133,9 @@ def test_singular_gram_raises_at_its_frequency(linked):
         lower_bound(plant)
 
 
-def count_bound_work(monkeypatch, plant):
-    """(eval_M and eval_N calls, dtypes of the eigvalsh arguments) of one bound."""
-    evals, dtypes = [0], set()
+def bound_work(monkeypatch, plant):
+    """(eval_M and eval_N calls, dtype of each eigvalsh argument) of one bound."""
+    evals, dtypes = [0], []
     eval_M, eval_N, eigvalsh = RationalPlant.eval_M, RationalPlant.eval_N, np.linalg.eigvalsh
 
     def counting(method):
@@ -143,7 +145,7 @@ def count_bound_work(monkeypatch, plant):
         return wrapper
 
     def recording_eigvalsh(a):
-        dtypes.add(np.asarray(a).dtype)
+        dtypes.append(np.asarray(a).dtype)
         return eigvalsh(a)
 
     monkeypatch.setattr(RationalPlant, "eval_M", counting(eval_M))
@@ -152,6 +154,12 @@ def count_bound_work(monkeypatch, plant):
     lower_bound(plant)
     monkeypatch.undo()
     return evals[0], dtypes
+
+
+def count_bound_work(monkeypatch, plant):
+    """(eval_M and eval_N calls, dtypes of the eigvalsh arguments) of one bound."""
+    evals, dtypes = bound_work(monkeypatch, plant)
+    return evals, set(dtypes)
 
 
 def test_descriptor_bound_skips_plant_evaluation(monkeypatch):
@@ -164,3 +172,104 @@ def test_descriptor_bound_skips_plant_evaluation(monkeypatch):
 
     evals, _ = count_bound_work(monkeypatch, without_descriptor(cascade.to_rational()))
     assert evals > 0
+
+
+@pytest.mark.parametrize("linked", [True, False])
+def test_singular_gram_at_the_high_end_only(linked):
+    # S(w) = diag(1 + w^2, 1e-6): the eigenvalue ratio falls below RANK_RTOL
+    # first at w = 1000, while w = 0 passes.
+    plant = DescriptorPlant(np.diag([1.0, 0.0]), np.diag([-1.0, -1e-3]), np.zeros((2, 1))).to_rational()
+    if not linked:
+        plant = without_descriptor(plant)
+    with pytest.raises(SingularMatrixError, match="singular at omega=1000;"):
+        lower_bound(plant)
+
+
+def test_singular_gram_at_zero_frequency():
+    plant = DescriptorPlant(np.eye(2), np.diag([-1.0, -1e-7]), np.zeros((2, 1))).to_rational()
+    with pytest.raises(SingularMatrixError, match="singular at omega=0;"):
+        lower_bound(plant)
+
+
+def test_symmetric_descriptor_bound_needs_no_sweep(monkeypatch):
+    buffer = compile_buffer(random_buffer(np.random.default_rng(0), 50)).to_rational()
+    evals, dtypes = bound_work(monkeypatch, buffer)
+    assert evals == 0 and len(dtypes) <= 2
+
+    pools = {"alpha": [1.0, 2.0, 1.5], "beta": [2.0, 1.0, 1.0], "tau": [0.5, 1.0, 2.0]}
+    cascade, _ = compile_irrigation(NetworkModel("irrigation", 3, [], pools))
+    _, dtypes = bound_work(monkeypatch, cascade.to_rational())
+    assert dtypes.count(np.dtype(np.complex128)) > 2
+
+
+@st.composite
+def symmetric_descriptor_plants(draw):
+    """(plant, Q or None) with A E^T = E A^T.
+
+    F = 0 holds bitwise for buffers, E = I and diagonal plants without a
+    weight; E = I + 0.1 A^2 keeps it only where rounding allows.
+    """
+    kind = draw(st.sampled_from(["buffer", "identity", "diagonal", "polynomial"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 12)) if kind == "buffer" else draw(st.integers(1, 8))
+    if kind == "buffer":
+        desc = compile_buffer(random_buffer(rng, n))
+    else:
+        R = rng.standard_normal((n, n))
+        A = -(R + R.T) - draw(st.sampled_from([0.0, 1.0, 4.0])) * np.eye(n)
+        E = np.eye(n)
+        if kind == "diagonal":
+            A = np.diag(np.diag(A))
+            E = np.diag(np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.1, 3.0, n)))
+        elif kind == "polynomial":
+            E = np.eye(n) + 0.1 * (A @ A)
+        m = draw(st.integers(1, 3))
+        B = rng.standard_normal((n, m)) * draw(st.sampled_from([0.0, 1e-3, 1.0]))
+        desc = DescriptorPlant(E, A, B)
+    Q = None
+    weight = draw(st.sampled_from([None, "diagonal", "dense"]))
+    if weight == "diagonal":
+        Q = np.diag(rng.uniform(0.2, 5.0, desc.n))
+    elif weight == "dense":
+        Q = rng.standard_normal((draw(st.integers(1, desc.n)), desc.n))
+    return desc, Q
+
+
+GRIDS = (None, np.concatenate(([0.0], np.logspace(-3, 3, 61))), np.logspace(-2, 2, 33))
+
+
+def sweep_or_error(f, grid):
+    try:
+        return adaptive_max(f, grid=grid), None
+    except SingularMatrixError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(symmetric_descriptor_plants())
+def test_symmetric_bound_matches_the_sweep(case):
+    desc, Q = case
+    plant = desc.to_rational()
+    Qp = None if Q is None else WeightedObjective(Q).pinv
+    f = _bound_function(plant, Qp)
+    for grid in GRIDS:
+        ends = default_grid() if grid is None else grid
+        want, error = sweep_or_error(f, grid)
+        try:
+            got = lower_bound(plant, grid) if Q is None else weighted_lower_bound(plant, Q, grid)
+        except SingularMatrixError as exc:
+            assert str(exc) == error
+            continue
+        assert error is None
+        if not f.nondecreasing:  # F != 0: both sides sweep
+            assert got == (want.value, want.omega)
+            continue
+        assert got.omega == ends.min()
+        # Each sweep sample carries rounding of order eps * cond(S(w)), and
+        # cond(S(w)) peaks at an end of the grid. A sample read that far
+        # above S(w_lo) may also win the tie and move the sweep's peak.
+        kappa = max(np.linalg.cond(captured_gram(plant, Qp, w)) for w in (ends.min(), ends.max()))
+        assert got.value == pytest.approx(want.value, rel=4 * EPS * kappa, abs=0)
+        if 4 * EPS * kappa < TIE_RTOL:
+            assert got.omega == want.omega
