@@ -257,7 +257,8 @@ def _text(x, pad=""):
 
 
 def _emit(doc, out_path):
-    text = _text(_jsonable(doc)) + "\n"
+    """Write a report to ``out_path``, or to stdout; text goes as is, documents as JSON."""
+    text = doc if isinstance(doc, str) else _text(_jsonable(doc)) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -471,12 +472,7 @@ def _cmd_freqresp(args):
         peak = int(not marked and v >= vmax * (1.0 - 1e-9))
         marked = marked or bool(peak)
         lines.append(f"{w!r},{v!r},{peak}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

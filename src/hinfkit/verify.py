@@ -4,7 +4,8 @@ A gain is certified by three computations: closed-loop stability, the
 closed-loop H-infinity norm with its peak frequency, and the synthesis
 lower bound sup_w ||(M M^* + N N^*)^{-1}||^{1/2}. The gain is optimal when
 the loop is stable, the norm meets the lower bound, and the peak sits at
-the frequency the gain was sampled at.
+the frequency the gain was sampled at. Poles come from the pencil (A + B K, E),
+or from the block-companion pencil of the cleared loop M - N K otherwise.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from . import freqgrid, linalg
 from .exceptions import (
+    DimensionError,
     InvalidInputError,
     NumericalError,
     PoleOnAxisError,
@@ -24,7 +27,7 @@ from .exceptions import (
     UnstableSystemError,
 )
 from .freqgrid import PeakResult, adaptive_max, adaptive_min, default_grid
-from .linalg import Polynomial, generalized_eigenvalues, spectral_norm
+from .linalg import RANK_RTOL, generalized_eigenvalues, spectral_norm
 from .sysmodel import (
     DescriptorPlant,
     Gain,
@@ -56,11 +59,6 @@ CERT_RTOL = 1e-6
 # Entries at or below this fraction of the largest magnitude count as
 # structural zeros.
 SPARSITY_RTOL = 1e-12
-
-# Laplace expansion of rational determinants is refused beyond this size,
-# and the cleared numerator beyond this degree.
-DET_SIZE_MAX = 8
-DET_DEGREE_MAX = 50
 
 
 class StabilityResult(NamedTuple):
@@ -255,77 +253,63 @@ def weighted_lower_bound(plant: RationalPlant, weight, grid=None) -> BoundResult
     return _sup_bound(plant, w.pinv, grid)
 
 
-def _rmul(a, b):
-    return a[0] * b[0], a[1] * b[1]
+def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient tensors side by side, padded to a common degree."""
+    n = max(len(a), len(b))
+    return np.concatenate([np.pad(t, ((0, n - len(t)), (0, 0), (0, 0))) for t in (a, b)], axis=2)
 
 
-def _radd(a, b):
-    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
-
-
-def _rational_det(entries):
-    k = len(entries)
-    if k == 1:
-        return entries[0][0]
-    det = None
-    for j in range(k):
-        num, den = entries[0][j]
-        if num.is_zero():
-            continue
-        minor = [[row[c] for c in range(k) if c != j] for row in entries[1:]]
-        term = _rmul((num, den), _rational_det(minor))
-        if j % 2:
-            term = (term[0].scale(-1.0), term[1])
-        det = term if det is None else _radd(det, term)
-    return det if det is not None else (Polynomial([0.0]), Polynomial([1.0]))
+def _cleared(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Columns num_j times the product of the distinct den columns other than den_j."""
+    distinct, which = np.unique(den.T, axis=0, return_inverse=True)
+    which = which.ravel()
+    polys = [linalg.trimmed_coefficients(d) for d in distinct]
+    out = np.zeros((len(num) + sum(len(p) - 1 for p in polys), num.shape[1]))
+    for q in range(len(polys)):
+        part = num[:, which == q]
+        for p in polys[:q] + polys[q + 1 :]:
+            part = scipy.linalg.convolution_matrix(p, len(part)) @ part
+        out[: len(part), which == q] = part
+    return out
 
 
 def rational_stability(plant: RationalPlant, gain: Gain) -> StabilityResult:
     """Pole test for gains on plants with no descriptor form.
 
-    Poles are taken as the roots of the numerator of det(M - N K) after
-    clearing denominators. Limited to small dense plants.
+    Row i of M - N K is cleared by the product of the distinct denominators
+    in row i of M and of the N columns that K feeds, which gives a
+    polynomial matrix P(s) = sum_t C_t s^t. The poles are the finite
+    eigenvalues of its block-companion pencil, from one QZ factorization.
+    Infinite eigenvalues, which a singular leading block C_d brings, are
+    dropped; a pair with alpha = beta = 0 means det P vanishes identically.
     """
-    k, m = plant.k, plant.m
-    if k > DET_SIZE_MAX:
-        raise NumericalError(
-            f"rational pole scan supports plants up to size {DET_SIZE_MAX}, got {k}"
-        )
-    K = gain.K
-
-    def entries(num, den):
-        return [
-            [(Polynomial(num[:, i, j]), Polynomial(den[:, i, j])) for j in range(num.shape[2])]
-            for i in range(k)
-        ]
-
-    M, N = entries(plant.m_num, plant.m_den), entries(plant.n_num, plant.n_den)
-    closed = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            acc = M[i][j]
-            for l in range(m):
-                if K[l, j] != 0.0:
-                    num, den = N[i][l]
-                    acc = _radd(acc, (num.scale(-K[l, j]), den))
-            row.append(acc)
-        closed.append(row)
-    num, _ = _rational_det(closed)
-    if num.degree > DET_DEGREE_MAX:
-        raise NumericalError(
-            f"cleared determinant degree {num.degree} exceeds the cap {DET_DEGREE_MAX}"
-        )
-    if num.is_zero():
+    K, k = gain.K, plant.k
+    if K.shape != (plant.m, k):
+        raise DimensionError(f"gain must be {plant.m} x {k}, got {K.shape}")
+    fed = np.flatnonzero(K.any(axis=1))
+    num = _join(plant.m_num, plant.n_num[:, :, fed])
+    den = _join(plant.m_den, plant.n_den[:, :, fed])
+    rows = [_cleared(num[:, i], den[:, i]) for i in range(k)]
+    C = np.zeros((max(2, *(len(r) for r in rows)), k, k))
+    for i, r in enumerate(rows):
+        C[: len(r), i] = r[:, :k] - r[:, k:] @ K[fed]
+    while len(C) > 2 and not C[-1].any():  # padding leaves exact zero top blocks
+        C = C[:-1]
+    d = len(C) - 1
+    A = np.eye(d * k, k=k)
+    A[-k:] = -np.concatenate(C[:-1], axis=1)
+    B = np.eye(d * k)
+    B[-k:, -k:] = C[-1]
+    alpha, beta = scipy.linalg.eigvals(A, B, homogeneous_eigvals=True)
+    a, b = np.abs(alpha), np.abs(beta)
+    if np.any((a <= RANK_RTOL * np.linalg.norm(A)) & (b <= RANK_RTOL * np.linalg.norm(B))):
         return StabilityResult(False, math.inf)
-    c = num.coefficients
-    keep = np.abs(c) > 1e-12 * np.abs(c).max()
-    c = c[: np.nonzero(keep)[0][-1] + 1]
-    if len(c) == 1:
+    finite = b > RANK_RTOL * a
+    if not finite.any():
         return StabilityResult(True, -math.inf)
-    roots = np.roots(c[::-1])
-    abscissa = float(roots.real.max())
-    margin = STABILITY_MARGIN_RTOL * (1.0 + float(np.abs(roots).max()))
+    poles = alpha[finite] / beta[finite]
+    abscissa = float(poles.real.max())
+    margin = STABILITY_MARGIN_RTOL * (1.0 + float(np.abs(poles).max()))
     return StabilityResult(abscissa < -margin, abscissa)
 
 
@@ -364,7 +348,7 @@ def certify_optimality(
     """Run the full certificate: stability, norm with peak, lower bound.
 
     Descriptor-backed plants use the pencil test and the level-set norm;
-    everything else falls back to the rational pole scan and the grid norm.
+    others use the companion-pencil pole test and the grid norm.
     The verdict never raises; failures are encoded in it.
     """
     desc = plant.descriptor

@@ -357,3 +357,54 @@ DOCUMENTS = st.recursive(
 @given(DOCUMENTS)
 def test_report_text_matches_indented_json(doc):
     assert _text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _reduced_abscissa(E, A, B, K):
+    """Largest real part of the finite poles of E xdot = (A + B K) x, E = diag(I, 0).
+
+    The last state is algebraic: eliminating it leaves an ordinary matrix.
+    """
+    Acl = A + B @ K
+    reduced = Acl[:-1, :-1] - np.outer(Acl[:-1, -1], Acl[-1, :-1]) / Acl[-1, -1]
+    return float(np.linalg.eigvals(reduced).real.max())
+
+
+def test_verify_singular_descriptor_beyond_eight_states(tmp_path):
+    n = 10
+    E = np.diag([1.0] * (n - 1) + [0.0])
+    A = -np.diag(np.arange(1.0, n + 1))
+    A[0, 1] = 0.3
+    B = np.eye(n)[:, :3] + 0.1
+    model = write(tmp_path / "singular10.model",
+                  {"format": 1, "kind": "descriptor", "E": E.tolist(), "A": A.tolist(), "B": B.tolist()})
+    out = tmp_path / "v.json"
+    assert main(["verify", model, "--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    cert = doc["certificate"]
+    assert cert["verdict"] == "optimal"
+    expect = _reduced_abscissa(E, A, B, np.array(doc["gain"]["K"]))
+    assert cert["details"]["abscissa"] == pytest.approx(expect, rel=1e-9)
+
+
+def test_verify_dense_rational_beyond_eight_outputs(tmp_path):
+    # M(s) = E s^2 + F s + L, N = B: a dense plant with no descriptor form
+    k, m = 12, 2
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((k, k))
+    L = X @ X.T / k + np.eye(k)
+    F = 2.0 * np.eye(k) + 0.3 * rng.standard_normal((k, k)) / math.sqrt(k)
+    E = np.eye(k) + 0.1 * rng.standard_normal((k, k)) / math.sqrt(k)
+    B = rng.standard_normal((k, m))
+    M = [[[L[i, j], F[i, j], E[i, j]] for j in range(k)] for i in range(k)]
+    N = [[[B[i, j]] for j in range(m)] for i in range(k)]
+    model = write(tmp_path / "dense12.model", {"format": 1, "kind": "rational", "M": M, "N": N})
+    out = tmp_path / "v.json"
+    assert main(["verify", model, "--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    cert = doc["certificate"]
+    assert cert["verdict"] == "optimal"
+    K = np.array(doc["gain"]["K"])
+    companion = np.block([[np.zeros((k, k)), np.eye(k)],
+                          [-np.linalg.solve(E, L - B @ K), -np.linalg.solve(E, F)]])
+    expect = float(np.linalg.eigvals(companion).real.max())
+    assert cert["details"]["abscissa"] == pytest.approx(expect, rel=1e-9)

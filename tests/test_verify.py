@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hinfkit import (
     DescriptorPlant,
@@ -202,6 +205,13 @@ class TestRationalStability:
         # det numerator is s^2 - s - 1, whose positive root is (1 + sqrt(5)) / 2
         assert res.abscissa == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, rel=1e-9)
 
+    def test_gain_shape_checked(self, double_pole_plant):
+        from hinfkit import DimensionError
+
+        for K in ([[1.0, 2.0]], [[1.0], [2.0]]):
+            with pytest.raises(DimensionError):
+                rational_stability(double_pole_plant, Gain(K))
+
     def test_marginal_root_counts_as_unstable(self):
         p = RationalPlant([[[0.0, 1.0]]], [[[1.0]]])  # M = s, N = 1
         res = rational_stability(p, Gain([[0.0]]))
@@ -327,3 +337,110 @@ def test_grid_norm_even_in_frequency(lag_plant):
         plus = spectral_norm(eval_closed_rational(rp, g, w))
         minus = spectral_norm(eval_closed_rational(rp, g, -w))
         assert plus == pytest.approx(minus, rel=1e-12)
+
+
+def _same_poles(res, roots):
+    """rational_stability's verdict agrees with the given pole set."""
+    scale = 1.0 + float(np.abs(roots).max())
+    abscissa = float(roots.real.max())
+    assert res.abscissa == pytest.approx(abscissa, rel=1e-9, abs=1e-9 * scale)
+    if abs(abscissa) > 2e-9 * scale:  # clear of the stability margin
+        assert res.stable == (abscissa < 0)
+
+
+_COEFS = st.floats(-3.0, 3.0)
+_LEADING = st.one_of(st.floats(-3.0, -0.5), st.floats(0.5, 3.0))
+_POLYS = st.builds(lambda c, lead: [*c, lead], st.lists(_COEFS, max_size=3), _LEADING)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_POLYS, _POLYS, _POLYS, _POLYS, _LEADING)
+def test_scalar_poles_match_hand_cleared_roots(m_num, m_den, n_num, n_den, K):
+    P = np.polynomial.polynomial
+    if m_den == n_den:  # one distinct denominator clears the whole row
+        cleared = P.polysub(m_num, K * np.asarray(n_num))
+    else:
+        cleared = P.polysub(P.polymul(m_num, n_den), K * P.polymul(n_num, m_den))
+    cleared = np.trim_zeros(cleared, "b")
+    if len(cleared) < 2 or abs(cleared[-1]) < 1e-6 * np.abs(cleared).max():
+        return  # no roots, or an ill-conditioned leading coefficient
+    plant = RationalPlant([[(m_num, m_den)]], [[(n_num, n_den)]])
+    _same_poles(rational_stability(plant, Gain([[K]])), np.roots(cleared[::-1]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_quadratic_poles_match_companion_eigenvalues(k, m, seed):
+    rng = np.random.default_rng(seed)
+    E = np.eye(k) + 0.3 * rng.standard_normal((k, k))
+    F, L = rng.standard_normal((2, k, k))
+    B = rng.standard_normal((k, m))
+    K = rng.standard_normal((m, k))
+    M = [[[L[i, j], F[i, j], E[i, j]] for j in range(k)] for i in range(k)]
+    N = [[[B[i, j]] for j in range(m)] for i in range(k)]
+    companion = np.block([[np.zeros((k, k)), np.eye(k)],
+                          [-np.linalg.solve(E, L - B @ K), -np.linalg.solve(E, F)]])
+    _same_poles(rational_stability(RationalPlant(M, N), Gain(K)), np.linalg.eigvals(companion))
+
+
+class TestRationalPencilEdges:
+    def test_identically_singular_loop(self):
+        s = [0.0, 1.0]
+        p = RationalPlant([[s, s], [s, s]], [[[1.0]], [[1.0]]])
+        assert rational_stability(p, Gain([[0.5, -1.0]])) == (False, math.inf)
+
+    def test_constant_loop_has_no_poles(self):
+        p = RationalPlant([[[2.0], [1.0]], [[0.0], [3.0]]], [[[1.0]], [[0.0]]])
+        assert rational_stability(p, Gain([[0.5, 0.0]])) == (True, -math.inf)
+
+    def test_singular_leading_block(self):
+        # diag(s^2 + 3s + 2, s + 4): poles -1, -2, -4 and one infinite eigenvalue
+        p = RationalPlant([[[2.0, 3.0, 1.0], [0.0]], [[0.0], [4.0, 1.0]]], [[[0.0]], [[0.0]]])
+        res = rational_stability(p, Gain([[0.0, 0.0]]))
+        assert res.stable and res.abscissa == pytest.approx(-1.0, rel=1e-12)
+        # U diag((s + 1)(s + 1e-3), s + 4) V: a dense singular C_2, whose infinite
+        # eigenvalue comes out of QZ with a tiny nonzero beta; kept, it would
+        # swell the margin past the slow pole
+        U, V = np.random.default_rng(3).standard_normal((2, 2, 2))
+        D = [np.array([1e-3, 1.001, 1.0]), np.array([4.0, 1.0, 0.0])]
+        M = [[list(sum(U[i, l] * D[l] * V[l, j] for l in range(2))) for j in range(2)] for i in range(2)]
+        res = rational_stability(RationalPlant(M, [[[0.0]], [[0.0]]]), Gain([[0.0, 0.0]]))
+        assert res.stable and res.abscissa == pytest.approx(-1e-3, rel=1e-9)
+
+    def test_shared_denominator_clears_once(self):
+        # M = (s + 3)/(s - 1), N = 1/(s - 1), K = 1: M - N K = (s + 2)/(s - 1)
+        p = RationalPlant([[([3.0, 1.0], [-1.0, 1.0])]], [[([1.0], [-1.0, 1.0])]])
+        res = rational_stability(p, Gain([[1.0]]))
+        assert res.stable and res.abscissa == pytest.approx(-2.0, rel=1e-12)
+
+    def test_unfed_input_adds_no_pole(self):
+        # M = s + 2, N = [1, 1/(s - 1)], K = [-1; 0]: only the first input is fed
+        p = RationalPlant([[[2.0, 1.0]]], [[[1.0], ([1.0], [-1.0, 1.0])]])
+        res = rational_stability(p, Gain([[-1.0], [0.0]]))
+        assert res.stable and res.abscissa == pytest.approx(-3.0, rel=1e-12)
+
+    def test_dense_eight_output_work(self, monkeypatch):
+        import hinfkit.linalg
+
+        counts = {"poly": 0, "eigvals": 0}
+        init, eigvals = hinfkit.linalg.Polynomial.__post_init__, scipy.linalg.eigvals
+
+        def counted_init(self):
+            counts["poly"] += 1
+            init(self)
+
+        def counted_eigvals(*args, **kwargs):
+            counts["eigvals"] += 1
+            return eigvals(*args, **kwargs)
+
+        rng = np.random.default_rng(8)
+        k = 8
+        E, F, L = np.eye(k) + 0.1 * rng.standard_normal((3, k, k))
+        B = rng.standard_normal((k, 2))
+        M = [[([L[i, j], F[i, j], E[i, j]], [1.0, 0.5]) for j in range(k)] for i in range(k)]
+        N = [[[B[i, j]] for j in range(2)] for i in range(k)]
+        plant, gain = RationalPlant(M, N), Gain(rng.standard_normal((2, k)))
+        monkeypatch.setattr(hinfkit.linalg.Polynomial, "__post_init__", counted_init)
+        monkeypatch.setattr(scipy.linalg, "eigvals", counted_eigvals)
+        rational_stability(plant, gain)
+        assert counts == {"poly": 0, "eigvals": 1}
