@@ -469,7 +469,7 @@ def _cmd_freqresp(args):
     lines = ["omega,sigma_max,is_peak"]
     marked = False
     for w, v in rows:
-        peak = int(not marked and v >= vmax * (1.0 - 1e-9))
+        peak = int(not marked and v >= vmax * (1.0 - freqgrid.TIE_RTOL))
         marked = marked or bool(peak)
         lines.append(f"{w!r},{v!r},{peak}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -563,7 +563,7 @@ def _cmd_generate(args):
 
 def _add_common(p, grid=True):
     p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
-    p.add_argument("--tol", type=float, default=1e-6, help="certification tolerance")
+    p.add_argument("--tol", type=float, default=verify.CERT_RTOL, help="certification tolerance")
     p.add_argument("--omega0", type=float, default=0.0, help="target peak frequency")
     if grid:
         p.add_argument("--grid-min", type=float, default=freqgrid.GRID_MIN)

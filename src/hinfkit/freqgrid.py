@@ -19,8 +19,8 @@ GRID_MIN = 1e-4
 GRID_MAX = 1e4
 GRID_POINTS = 201
 
-# Refinement stops once the bracket around a local maximum is narrower than
-# PEAK_WINDOW_RTOL * (1 + omega).
+# Grid refinement stops once the golden-section bracket around a local
+# maximum is narrower than PEAK_WINDOW_RTOL * (1 + omega).
 PEAK_WINDOW_RTOL = 1e-6
 
 # Candidates within this relative distance of the best value tie; the
@@ -43,47 +43,37 @@ class PeakResult:
 
     value: float
     omega: float
-    window: float          # bracket width achieved around the reported peak
     evaluations: int
     skipped: int = 0       # grid points dropped because of entry poles
 
 
-def _golden_max(f, a, b, window_rtol):
-    """Golden-section maximization on [a, b]; returns (best, midpoint, samples, width)."""
-    samples = []
-
-    def probe(x):
-        v = f(x)
-        samples.append((x, v))
-        return v
-
+def _golden_max(f, a, b):
+    """Golden-section maximization on [a, b]; returns (best, midpoint, evaluations)."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = probe(c), probe(d)
-    for _ in range(200):
-        if b - a <= window_rtol * (1.0 + b):
-            break
+    fc, fd = f(c), f(d)
+    evaluations = 2
+    while evaluations < 202 and b - a > PEAK_WINDOW_RTOL * (1.0 + b):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = probe(c)
+            fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = probe(d)
-    mid = 0.5 * (a + b)
-    best = max(fc, fd)
-    return best, mid, samples, b - a
+            fd = f(d)
+        evaluations += 1
+    return max(fc, fd), 0.5 * (a + b), evaluations
 
 
-def adaptive_max(f, grid=None, window_rtol: float = PEAK_WINDOW_RTOL) -> PeakResult:
+def adaptive_max(f, grid=None) -> PeakResult:
     """Maximize ``f`` over a frequency grid with local refinement.
 
     ``f`` may raise PoleAtEvaluationError at isolated frequencies (entry
     poles of a rational plant); such points are skipped. Any other exception
     propagates. Local maxima of the grid within 0.1% of the grid-wide best
     are each refined by golden-section search until the surrounding bracket
-    is narrower than ``window_rtol * (1 + omega)``.
+    is narrower than ``PEAK_WINDOW_RTOL * (1 + omega)``.
     """
     if grid is None:
         grid = default_grid()
@@ -117,12 +107,12 @@ def adaptive_max(f, grid=None, window_rtol: float = PEAK_WINDOW_RTOL) -> PeakRes
     candidates = candidates[:8]
 
     best_value = vmax
-    refined = []  # (omega, value, window)
+    refined = []  # (omega, value)
     for i in candidates:
         a = omegas[i - 1] if i > 0 else omegas[i]
         b = omegas[i + 1] if i < n - 1 else omegas[i]
         if b <= a:
-            refined.append((omegas[i], values[i], 0.0))
+            refined.append((omegas[i], values[i]))
             continue
 
         def safe(x):
@@ -131,39 +121,31 @@ def adaptive_max(f, grid=None, window_rtol: float = PEAK_WINDOW_RTOL) -> PeakRes
             except PoleAtEvaluationError:
                 return -np.inf
 
-        v, mid, samples, width = _golden_max(safe, a, b, window_rtol)
-        evaluations += len(samples)
+        v, mid, count = _golden_max(safe, a, b)
+        evaluations += count
         v = max(v, values[i])
         best_value = max(best_value, v)
-        refined.append((mid, v, width))
+        refined.append((mid, v))
 
     # Tie-break: smallest frequency whose value is within TIE_RTOL of the
     # best, considering plain grid points and refined peaks alike.
     tie = best_value - TIE_RTOL * (abs(best_value) + 1e-300)
     contenders = [w for w, v in zip(omegas, values) if v >= tie]
-    contenders += [w for w, v, _ in refined if v >= tie]
-    peak_omega = min(contenders)
-    window = window_rtol * (1.0 + peak_omega)
-    for w, v, width in refined:
-        if v >= tie and abs(w - peak_omega) <= window and width > 0.0:
-            window = width
-            break
+    contenders += [w for w, v in refined if v >= tie]
     return PeakResult(
         value=best_value,
-        omega=float(peak_omega),
-        window=float(window),
+        omega=float(min(contenders)),
         evaluations=evaluations,
         skipped=skipped,
     )
 
 
-def adaptive_min(f, grid=None, window_rtol: float = PEAK_WINDOW_RTOL) -> PeakResult:
+def adaptive_min(f, grid=None) -> PeakResult:
     """Minimize ``f`` via adaptive_max of its negation."""
-    res = adaptive_max(lambda w: -f(w), grid=grid, window_rtol=window_rtol)
+    res = adaptive_max(lambda w: -f(w), grid=grid)
     return PeakResult(
         value=-res.value,
         omega=res.omega,
-        window=res.window,
         evaluations=res.evaluations,
         skipped=res.skipped,
     )

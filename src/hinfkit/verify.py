@@ -3,9 +3,10 @@
 A gain is certified by three computations: closed-loop stability, the
 closed-loop H-infinity norm with its peak frequency, and the synthesis
 lower bound sup_w ||(M M^* + N N^*)^{-1}||^{1/2}. The gain is optimal when
-the loop is stable, the norm meets the lower bound, and the peak sits at
-the frequency the gain was sampled at. Poles come from the pencil (A + B K, E),
-or from the block-companion pencil of the cleared loop M - N K otherwise.
+the loop is stable, the norm meets the lower bound, and sigma_max of the loop
+at the frequency the gain was sampled at meets it too, so that frequency
+attains the norm. Poles come from the pencil (A + B K, E), or from the
+block-companion pencil of the cleared loop M - N K otherwise.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from .exceptions import (
     DimensionError,
     InvalidInputError,
     NumericalError,
+    PoleAtEvaluationError,
     PoleOnAxisError,
     SingularMatrixError,
     UnstableSystemError,
 )
-from .freqgrid import PeakResult, adaptive_max, adaptive_min, default_grid
+from .freqgrid import adaptive_max, adaptive_min, default_grid
 from .linalg import RANK_RTOL, generalized_eigenvalues, spectral_norm
 from .sysmodel import (
     DescriptorPlant,
@@ -104,8 +106,7 @@ def hinf_norm_ss(ss: StateSpace, tol: float = NORM_RTOL) -> NormResult:
     sigma_max at the crossings and the midpoints between them, which
     converges quadratically; it stops when no candidate reaches gamma. The
     norm is the midpoint of the bracket [lb, gamma]. The peak frequency is
-    the smallest best-valued sample of a golden-section search around the
-    last crossings and the best sample.
+    the best sample evaluated, where sigma_max = lb >= norm / (1 + tol / 2).
     """
     A, B, C, D = ss.A, ss.B, ss.C, ss.D
     if spectral_norm(D) != 0.0:
@@ -132,7 +133,6 @@ def hinf_norm_ss(ss: StateSpace, tol: float = NORM_RTOL) -> NormResult:
     if lb == 0.0:
         return NormResult(0.0, 0.0)
 
-    crossings = np.array([])
     for _ in range(NORM_ITER_MAX):
         gamma = (1.0 + tol) * lb
         freqs = _imag_axis_frequencies(np.block([[A, BBt / gamma**2], [-CtC, -A.T]]))
@@ -142,41 +142,20 @@ def hinf_norm_ss(ss: StateSpace, tol: float = NORM_RTOL) -> NormResult:
         # above the peak: gamma bounds the norm from above.
         if best < gamma:
             break
-        lb, w_best, crossings = best, float(w), freqs
+        lb, w_best = best, float(w)
     else:
         raise NumericalError(
             f"level-set norm iteration did not converge in {NORM_ITER_MAX} steps (lb={lb:.6e})"
         )
 
-    norm = (1.0 + 0.5 * tol) * lb
-    peak = _refine_ss_peak(smax, crossings, w_best)
-    return NormResult(float(norm), float(peak))
-
-
-def _refine_ss_peak(smax, axis_freqs: np.ndarray, w_seed: float) -> float:
-    freqs = sorted(float(w) for w in axis_freqs)
-    mids = (0.5 * (a + b) for a, b in zip(freqs, freqs[1:]))
-    cand = sorted({0.0, float(w_seed), *freqs, *mids})
-    values = [smax(w) for w in cand]
-    i = int(np.argmax(values))
-    a = cand[i - 1] if i > 0 else cand[i]
-    b = cand[i + 1] if i < len(cand) - 1 else cand[i] * 2 + 1e-3
-    _, mid, samples, _ = freqgrid._golden_max(smax, a, b, freqgrid.PEAK_WINDOW_RTOL)
-    samples += zip(cand, values)
-    samples.append((mid, smax(mid)))
-    tie = (1.0 - freqgrid.TIE_RTOL) * max(v for _, v in samples)
-    return min(w for w, v in samples if v >= tie)
-
-
-def _closed_loop_peak(plant: RationalPlant, gain: Gain, grid=None) -> PeakResult:
-    return adaptive_max(
-        lambda w: spectral_norm(eval_closed_rational(plant, gain, w)), grid=grid
-    )
+    return NormResult(float((1.0 + 0.5 * tol) * lb), w_best)
 
 
 def hinf_norm_grid(plant: RationalPlant, gain: Gain, grid=None) -> NormResult:
     """Closed-loop norm by adaptive grid search on ||[I; K](M - N K)^{-1}||."""
-    res = _closed_loop_peak(plant, gain, grid)
+    res = adaptive_max(
+        lambda w: spectral_norm(eval_closed_rational(plant, gain, w)), grid=grid
+    )
     return NormResult(res.value, res.omega)
 
 
@@ -348,8 +327,11 @@ def certify_optimality(
     """Run the full certificate: stability, norm with peak, lower bound.
 
     Descriptor-backed plants use the pencil test and the level-set norm;
-    others use the companion-pencil pole test and the grid norm.
-    The verdict never raises; failures are encoded in it.
+    others use the companion-pencil pole test and the grid norm. The gain is
+    optimal when the loop is stable, |norm - lb| <= tol (1 + lb), and
+    sigma0 = sigma_max(T(j omega0)) >= lb - tol (1 + lb); as sigma0 <= norm,
+    omega0 then attains the norm within tol. A pole at omega0 makes sigma0
+    NaN. The verdict never raises; failures are encoded in it.
     """
     desc = plant.descriptor
     method = "state-space"
@@ -363,7 +345,7 @@ def certify_optimality(
         stab = rational_stability(plant, gain)
 
     lb = lower_bound(plant, grid=grid)
-    tolerances = {"norm_rtol": tol, "peak_window_rtol": freqgrid.PEAK_WINDOW_RTOL}
+    tolerances = {"norm_rtol": tol}
     details = {
         "omega0": gain.omega0,
         "formula": gain.formula,
@@ -372,7 +354,6 @@ def certify_optimality(
         "lower_bound_frequency": lb.omega,
     }
 
-    window = freqgrid.PEAK_WINDOW_RTOL * (1.0 + abs(gain.omega0))
     norm = None
     if stab.stable and desc is not None:
         try:
@@ -381,8 +362,7 @@ def certify_optimality(
             details["method"] = "grid"
     if stab.stable and norm is None:
         try:
-            res = _closed_loop_peak(plant, gain, grid)
-            norm, peak, window = res.value, res.omega, max(window, res.window)
+            norm, peak = hinf_norm_grid(plant, gain, grid)
         except PoleOnAxisError:
             pass  # a pole on the axis: the loop is not stable after all
 
@@ -398,18 +378,22 @@ def certify_optimality(
             details=details,
         )
 
+    try:
+        sigma0 = spectral_norm(eval_closed_rational(plant, gain, gain.omega0))
+    except (PoleAtEvaluationError, PoleOnAxisError):
+        sigma0 = math.nan
+    slack = tol * (1.0 + lb.value)
     gap = norm - lb.value
-    gap_ok = abs(gap) <= tol * (1.0 + lb.value)
-    peak_ok = abs(peak - gain.omega0) <= window
-    verdict = "optimal" if (gap_ok and peak_ok) else "stable-but-suboptimal"
-    details["peak_window"] = window
+    optimal = abs(gap) <= slack and sigma0 >= lb.value - slack
+    details["omega0_sigma_max"] = sigma0
+    details["omega0_margin"] = (sigma0 - lb.value) / slack if slack > 0 else math.nan
     return Certificate(
         stable=True,
         hinf_norm=float(norm),
         peak_frequency=float(peak),
         lower_bound=float(lb.value),
         gap=float(gap),
-        verdict=verdict,
+        verdict="optimal" if optimal else "stable-but-suboptimal",
         tolerances=tolerances,
         details=details,
     )

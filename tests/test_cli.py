@@ -98,6 +98,17 @@ class TestExitCodes:
         gain = write(tmp_path / "bad.json", {"K": [[5.0]]})
         assert main(["verify", lag_model, "--gain", gain]) == EXIT_UNSTABLE
 
+    def test_verify_omega0_at_entry_pole(self, droop_model, tmp_path, capsys):
+        # M has a pole at w0 = 0, so sigma_max(T(j w0)) cannot be evaluated:
+        # the value test fails instead of the command crashing.
+        gain = write(tmp_path / "droop_gain.json", {"K": [[-2.0]]})
+        out = tmp_path / "report.json"
+        args = ["verify", droop_model, "--gain", gain, "--omega0", "0", "--out", str(out)]
+        assert main(args) == EXIT_SUBOPTIMAL
+        details = json.loads(out.read_text())["certificate"]["details"]
+        assert math.isnan(details["omega0_sigma_max"])
+        assert math.isnan(details["omega0_margin"])
+
     def test_schema_error(self, tmp_path, capsys):
         p = tmp_path / "broken.model"
         p.write_text("{not json")

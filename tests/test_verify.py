@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hinfkit import (
     DescriptorPlant,
     Gain,
     InvalidInputError,
+    NetworkModel,
     RationalPlant,
     StateSpace,
     UnstableSystemError,
@@ -17,6 +18,7 @@ from hinfkit import (
     certify_optimality,
     close_loop,
     compile_buffer,
+    compile_irrigation,
     descriptor_gain,
     droop_gain,
     droop_plant,
@@ -33,6 +35,7 @@ from hinfkit import (
     weighted_lower_bound,
     zero_peak_inequality,
 )
+from hinfkit.verify import CERT_RTOL
 from conftest import asym_chain, random_buffer
 
 SQRT_HALF = 2.0**-0.5
@@ -187,6 +190,25 @@ class TestCertificates:
     def test_gap_sign_invariant(self, three_state_demo):
         cert = certify_optimality(three_state_demo.to_rational(), descriptor_gain(three_state_demo))
         assert cert.gap >= -cert.tolerances["norm_rtol"]
+
+    def test_zero_tolerance_reports_no_margin(self, lag_plant):
+        cert = certify_optimality(lag_plant.to_rational(), descriptor_gain(lag_plant), tol=0.0)
+        assert cert.verdict == "stable-but-suboptimal"
+        assert cert.details["omega0_sigma_max"] == pytest.approx(SQRT_HALF, rel=1e-12)
+        assert math.isnan(cert.details["omega0_margin"])
+
+    @pytest.mark.parametrize("route", ["state-space", "grid"])
+    def test_gain_labelled_off_its_peak_is_not_optimal(self, route, lag_plant):
+        # The norm meets the bound, but the labelled omega0 does not attain it.
+        if route == "grid":
+            plant, K = droop_plant(2.0, 0.5), droop_gain(2.0, 0.5).K
+        else:
+            plant, K = lag_plant.to_rational(), descriptor_gain(lag_plant).K
+        cert = certify_optimality(plant, Gain(K, 1.0))
+        assert cert.details["method"] == route
+        assert abs(cert.gap) <= cert.tolerances["norm_rtol"] * (1.0 + cert.lower_bound)
+        assert cert.verdict == "stable-but-suboptimal"
+        assert cert.details["omega0_margin"] < -1.0
 
     def test_rational_route_used_without_descriptor(self, double_pole_plant):
         cert = certify_optimality(double_pole_plant, Gain([[-0.25]]))
@@ -444,3 +466,90 @@ class TestRationalPencilEdges:
         monkeypatch.setattr(scipy.linalg, "eigvals", counted_eigvals)
         rational_stability(plant, gain)
         assert counts == {"poly": 0, "eigvals": 1}
+
+
+# Lightly damped droop loops whose peak is flat: norm, sigma_max(T(j w0)) and
+# the bound agree, but the smallest tying frequency can sit far from w0.
+FLAT_DROOP_PEAKS = [(5.0, 1e-2), (2.0, 1e-3), (5.0, 1e-3), (0.5, 1e-4), (2.0, 1e-4), (0.5, 1e-5)]
+
+
+@pytest.mark.parametrize("omega0, zeta", FLAT_DROOP_PEAKS)
+def test_flat_droop_peak_certifies_by_value(omega0, zeta):
+    cert = certify_optimality(droop_plant(omega0, zeta), droop_gain(omega0, zeta))
+    assert cert.verdict == "optimal"
+    assert abs(cert.hinf_norm - cert.lower_bound) <= 1e-6 * (1.0 + cert.lower_bound)
+
+
+def _origin_pole_loops(rng, per_rate):
+    """Loops with a genuine pole at s = 0 next to a fast pole at -b.
+
+    Scalar c s (s + b)(s + r), and 2 x 2 U diag(s (s + b), 1 + s) V with
+    random U and V; the gain is zero, so M is the loop.
+    """
+    for b in (1.0, 1e3, 4e6, 1e8):
+        for r in np.logspace(-6, 0, per_rate):
+            c = rng.uniform(0.1, 10.0)
+            yield RationalPlant([[[0.0, c * b * r, c * (b + r), c]]], [[[1.0]]]), Gain([[0.0]])
+            U, V = rng.standard_normal((2, 2, 2))
+            M = [[[U[i, 1] * V[1, j], U[i, 0] * V[0, j] * b + U[i, 1] * V[1, j], U[i, 0] * V[0, j]]
+                  for j in range(2)] for i in range(2)]
+            yield RationalPlant(M, [[[0.0]], [[0.0]]]), Gain([[0.0, 0.0]])
+
+
+def test_origin_pole_next_to_fast_poles_reads_unstable():
+    # The margin scales with the largest root. A per-root margin
+    # Re(lam) < -1e-9 |lam| calls about a fifth of these loops stable,
+    # because the computed root at 0 lands a rounding error left of the axis.
+    for plant, gain in _origin_pole_loops(np.random.default_rng(0), 25):
+        assert not rational_stability(plant, gain).stable
+
+
+@st.composite
+def perturbed_loops(draw):
+    """(plant, canonical gain perturbed by a relative 1e-3 .. 1e-1, numpy loop T(jw)).
+
+    Buffers and irrigation cascades take the state-space route, droop
+    plants with zeta >= 1e-2 the grid route.
+    """
+    kind = draw(st.sampled_from(["buffer", "irrigation", "droop"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "droop":
+        omega0, zeta = draw(st.floats(0.5, 5.0)), 10.0 ** draw(st.floats(-2.0, 0.0))
+        plant, gain = droop_plant(omega0, zeta), droop_gain(omega0, zeta)
+        M = lambda w: np.array([[1j * w / omega0**2 + 2.0 * zeta / omega0 + 1.0 / (1j * w)]])
+        N = lambda w: np.ones((1, 1))
+    else:
+        if kind == "buffer":
+            net = random_buffer(rng, draw(st.integers(3, 8)))
+            desc, gain = compile_buffer(net), buffer_law(net)
+        else:
+            pools = draw(st.integers(1, 4))
+            alpha, beta, tau = rng.uniform(0.1, 10.0, 3)
+            params = {"alpha": [alpha] * pools, "beta": [beta] * pools, "tau": [tau] * pools}
+            desc, _ = compile_irrigation(NetworkModel("irrigation", pools, [], params))
+            gain = descriptor_gain(desc)
+        plant = desc.to_rational()
+        M = lambda w: 1j * w * desc.E - desc.A
+        N = lambda w: desc.B
+    R = rng.standard_normal(gain.K.shape)
+    rel = 10.0 ** draw(st.floats(-3.0, -1.0))
+    K = gain.K + rel * np.linalg.norm(gain.K, 2) / np.linalg.norm(R, 2) * R
+
+    def loop(w):
+        X = np.linalg.inv(M(w) - N(w) @ K)
+        return np.vstack([X, K @ X])
+
+    return plant, Gain(K, gain.omega0, gain.formula), loop
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(perturbed_loops())
+def test_optimal_verdict_means_omega0_attains_the_norm(case):
+    plant, gain, loop = case
+    cert = certify_optimality(plant, gain)
+    if cert.verdict == "optimal":
+        sigma0 = np.linalg.svd(loop(gain.omega0), compute_uv=False)[0]
+        assert sigma0 >= (1.0 - 2.0 * CERT_RTOL) * cert.hinf_norm
+    if cert.hinf_norm > cert.lower_bound + CERT_RTOL * (1.0 + cert.lower_bound):
+        assert cert.verdict != "optimal"
