@@ -23,6 +23,7 @@ from .exceptions import (
     NumericalError,
     UnstabilizableError,
 )
+from .linalg import RANK_RTOL, rcond
 from .sysmodel import DescriptorPlant
 
 # Hamiltonian eigenvalues within this relative distance of the imaginary
@@ -104,8 +105,7 @@ def are_feasible(problem: AreProblem, gamma: float):
         return None
     Vs = V[:, stable]
     X1, X2 = Vs[:n], Vs[n:]
-    sv = np.linalg.svd(X1, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
+    if rcond(X1) <= RANK_RTOL:
         return None
     P = np.real(X2 @ np.linalg.inv(X1))
     P = 0.5 * (P + P.T)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, freqgrid, linalg, netgen, synth, verify
+from . import __version__, freqgrid, netgen, synth, verify
 from .exceptions import (
     DimensionError,
     HinfkitError,
@@ -171,14 +171,11 @@ class _Form:
     descriptor: DescriptorPlant | None  # single descriptor form, if the model has one
     plant: RationalPlant | None  # certification plant; None for machine networks
     gain: Callable[[float], Gain]  # canonical gain at the target frequency omega0
-    state_space: bool = False  # the descriptor form has an invertible E
     disturbance_map: list | None = None  # irrigation: load disturbances into the states
 
 
 def _descriptor_form(kind, desc, gain, disturbance_map=None) -> _Form:
-    sv = np.linalg.svd(desc.E, compute_uv=False)
-    state_space = bool(sv[-1] > linalg.RANK_RTOL * sv[0])
-    return _Form(kind, desc, desc.to_rational(), gain, state_space, disturbance_map)
+    return _Form(kind, desc, desc.to_rational(), gain, disturbance_map)
 
 
 def _resolve(model, unit_h=False) -> _Form:
@@ -299,7 +296,7 @@ def _structure_checks(form) -> dict:
     }
     if not sym.holds:
         dom = verify.zero_peak_inequality(model)
-        if form.state_space:
+        if model.state_space:
             stab = verify.pencil_stability(model, synth.descriptor_gain(model))
             pencil = {"stable": stab.stable, "abscissa": stab.abscissa}
         else:
@@ -418,7 +415,7 @@ def _cmd_compare(args):
         )
     if form.descriptor is None:
         raise InvalidInputError("compare requires a descriptor or network model")
-    if not form.state_space:
+    if not form.descriptor.state_space:
         raise SingularMatrixError(
             "E is singular; compare needs the state-space form the Riccati baseline is posed in"
         )
@@ -455,7 +452,7 @@ def _cmd_freqresp(args):
     if form.plant is None:
         raise InvalidInputError("freqresp requires a model with a single plant form")
     grid = _grid_from(args)
-    if form.state_space:
+    if form.descriptor is not None and form.descriptor.state_space:
         response = close_loop(form.descriptor, gain).transfer
     else:
         response = lambda w: eval_closed_rational(form.plant, gain, w)
@@ -561,9 +558,10 @@ def _cmd_generate(args):
 # argument parsing
 
 
-def _add_common(p, grid=True):
+def _add_common(p, grid=True, tol=False):
     p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
-    p.add_argument("--tol", type=float, default=verify.CERT_RTOL, help="certification tolerance")
+    if tol:
+        p.add_argument("--tol", type=float, default=verify.CERT_RTOL, help="certification tolerance")
     p.add_argument("--omega0", type=float, default=0.0, help="target peak frequency")
     if grid:
         p.add_argument("--grid-min", type=float, default=freqgrid.GRID_MIN)
@@ -592,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify the gain; exit code encodes the verdict")
     p.add_argument("model")
     p.add_argument("--gain", default=None, help="JSON file with a gain matrix K to verify")
-    _add_common(p)
+    _add_common(p, tol=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("lower-bound", help="synthesis lower bound over frequency")
@@ -602,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="closed-form gain versus Riccati bisection baseline")
     p.add_argument("model")
-    _add_common(p)
+    _add_common(p, tol=True)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("freqresp", help="per-frequency closed-loop gain table (CSV)")
@@ -627,7 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mass", type=float, default=1.0, help="machine: inertia")
     p.add_argument("--damping", type=float, default=1.0, help="machine: damping")
     p.add_argument("--row", default="", help="circulant: generator row")
-    p.add_argument("--unit-h", action="store_true", help="irrigation: unit disturbance columns")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_generate)
 

@@ -43,12 +43,11 @@ class PeakResult:
 
     value: float
     omega: float
-    evaluations: int
     skipped: int = 0       # grid points dropped because of entry poles
 
 
 def _golden_max(f, a, b):
-    """Golden-section maximization on [a, b]; returns (best, midpoint, evaluations)."""
+    """Golden-section maximization on [a, b]; returns (best, midpoint)."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
@@ -63,7 +62,7 @@ def _golden_max(f, a, b):
             d = a + _INVPHI * (b - a)
             fd = f(d)
         evaluations += 1
-    return max(fc, fd), 0.5 * (a + b), evaluations
+    return max(fc, fd), 0.5 * (a + b)
 
 
 def adaptive_max(f, grid=None) -> PeakResult:
@@ -91,7 +90,6 @@ def adaptive_max(f, grid=None) -> PeakResult:
         raise NumericalError("every grid point was skipped; nothing to maximize")
     omegas = np.asarray(omegas)
     values = np.asarray(values)
-    evaluations = len(omegas)
 
     vmax = float(values.max())
     n = len(omegas)
@@ -121,8 +119,7 @@ def adaptive_max(f, grid=None) -> PeakResult:
             except PoleAtEvaluationError:
                 return -np.inf
 
-        v, mid, count = _golden_max(safe, a, b)
-        evaluations += count
+        v, mid = _golden_max(safe, a, b)
         v = max(v, values[i])
         best_value = max(best_value, v)
         refined.append((mid, v))
@@ -132,20 +129,10 @@ def adaptive_max(f, grid=None) -> PeakResult:
     tie = best_value - TIE_RTOL * (abs(best_value) + 1e-300)
     contenders = [w for w, v in zip(omegas, values) if v >= tie]
     contenders += [w for w, v in refined if v >= tie]
-    return PeakResult(
-        value=best_value,
-        omega=float(min(contenders)),
-        evaluations=evaluations,
-        skipped=skipped,
-    )
+    return PeakResult(value=best_value, omega=float(min(contenders)), skipped=skipped)
 
 
 def adaptive_min(f, grid=None) -> PeakResult:
     """Minimize ``f`` via adaptive_max of its negation."""
     res = adaptive_max(lambda w: -f(w), grid=grid)
-    return PeakResult(
-        value=-res.value,
-        omega=res.omega,
-        evaluations=res.evaluations,
-        skipped=res.skipped,
-    )
+    return PeakResult(value=-res.value, omega=res.omega, skipped=res.skipped)

@@ -19,8 +19,8 @@ from .exceptions import (
     SingularMatrixError,
 )
 
-# Relative threshold below which singular values count as zero. Matches the
-# invertibility margin assumed of every plant this package accepts.
+# A matrix is numerically rank deficient when rcond(m) <= RANK_RTOL. Matches
+# the invertibility margin assumed of every plant this package accepts.
 RANK_RTOL = 1e-12
 
 # Above this condition number the pencil (a, e) is no longer reduced to
@@ -55,6 +55,14 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def rcond(m) -> float:
+    """sigma_min / sigma_max of ``m``, or 0.0 for an empty or zero matrix."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0.0
+    return float(sv[-1] / sv[0])
+
+
 def eigenvalues(m) -> np.ndarray:
     """Eigenvalues of a square matrix, with multiplicity, in no particular order."""
     a = _as_matrix(m)
@@ -79,14 +87,13 @@ def generalized_eigenvalues(a, e) -> np.ndarray:
         raise DimensionError("pencil matrices must be square")
     if aa.shape != ee.shape:
         raise DimensionError(f"pencil matrices must agree in size, got {aa.shape} vs {ee.shape}")
-    sv = np.linalg.svd(ee, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= RANK_RTOL * sv[0]:
-        rcond = 0.0 if sv[0] == 0.0 else float(sv[-1] / sv[0])
+    rc = rcond(ee)
+    if rc <= RANK_RTOL:
         raise SingularMatrixError(
-            f"pencil matrix e is singular to working precision (rcond~{rcond:.2e})",
-            rcond=rcond,
+            f"pencil matrix e is singular to working precision (rcond~{rc:.2e})",
+            rcond=rc,
         )
-    if sv[0] / sv[-1] < REDUCTION_COND_MAX:
+    if rc > 1.0 / REDUCTION_COND_MAX:
         return np.linalg.eigvals(np.linalg.solve(ee, aa))
     return scipy.linalg.eigvals(aa, ee)
 

@@ -49,8 +49,7 @@ def closed_form_matrix_gain(Mw: np.ndarray, Nw: np.ndarray):
     Nw = np.atleast_2d(np.asarray(Nw, dtype=complex))
     if Nw.shape[0] != Mw.shape[0]:
         raise DimensionError("M and N must have the same number of rows")
-    sv = np.linalg.svd(Mw, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= linalg.RANK_RTOL * sv[0]:
+    if linalg.rcond(Mw) <= linalg.RANK_RTOL:
         raise StandingAssumptionError("M sample does not have full column rank")
     if Mw.shape[0] == Mw.shape[1]:
         # K M^* = -N^*  =>  K = -N^* M^{-*}

@@ -7,13 +7,15 @@ N given as ratios of real polynomials, stored as four coefficient tensors
 (numerator and denominator of M and of N). Descriptor plants convert
 exactly to rational ones by filling those tensors with -A, E and B; the
 rational object keeps a link back to its descriptor so that verification
-can use the pencil test, the state-space norm, and a lower bound that is
-a precomputed quadratic in frequency instead of evaluating M and N.
+can use a lower bound that is a precomputed quadratic in frequency and, if
+E passes the rank test (``state_space``), the pencil test and the
+state-space norm. A closed-loop pole on the axis is an exactly singular loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,13 +34,6 @@ from .freqgrid import default_grid
 # Gains whose relative imaginary residue exceeds this are rejected as
 # non-realizable; see synth.
 REALNESS_RTOL = 1e-9
-
-
-def _rcond(m) -> float:
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0.0
-    return float(sv[-1] / sv[0])
 
 
 @dataclass
@@ -63,13 +58,23 @@ class DescriptorPlant:
         for name, m in (("E", self.E), ("A", self.A), ("B", self.B)):
             if not np.all(np.isfinite(m)):
                 raise InvalidInputError(f"{name} contains NaN or Inf entries")
-        rc = _rcond(self.A)
-        if rc < linalg.RANK_RTOL:
+        rc = linalg.rcond(self.A)
+        if rc <= linalg.RANK_RTOL:
             raise SingularMatrixError(
                 f"A is singular to working precision (rcond~{rc:.2e}); "
                 "an invertible A is required",
                 rcond=rc,
             )
+
+    @cached_property
+    def rcond_E(self) -> float:
+        """rcond of E, computed once: the route decisions on E all read it."""
+        return linalg.rcond(self.E)
+
+    @property
+    def state_space(self) -> bool:
+        """Whether E passes the rank test, so the plant reduces to state-space form."""
+        return self.rcond_E > linalg.RANK_RTOL
 
     @property
     def n(self) -> int:
@@ -180,8 +185,7 @@ class RationalPlant:
                 Nw = self.eval_N(w)
             except PoleAtEvaluationError:
                 continue
-            sv = np.linalg.svd(Mw, compute_uv=False)
-            if sv[0] == 0.0 or sv[-1] <= linalg.RANK_RTOL * sv[0]:
+            if linalg.rcond(Mw) <= linalg.RANK_RTOL:
                 raise StandingAssumptionError(
                     f"M(j*omega) loses column rank at omega={w:g}"
                 )
@@ -206,8 +210,7 @@ class WeightedObjective:
         q, k = self.Q.shape
         if q > k:
             raise HypothesisViolationError(f"Q has more rows than columns ({q} > {k})")
-        sv = np.linalg.svd(self.Q, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= linalg.RANK_RTOL * sv[0]:
+        if linalg.rcond(self.Q) <= linalg.RANK_RTOL:
             raise HypothesisViolationError("Q must have full row rank")
 
     @property
@@ -270,17 +273,16 @@ class Gain:
 def close_loop(plant: DescriptorPlant, gain: Gain) -> StateSpace:
     """Closed loop from w to (y, u) with u = K*x, normalized to E = I.
 
-    Returns xdot = E^{-1}(A + B K) x + E^{-1} w, z = [I; K] x.
+    Returns xdot = E^{-1}(A + B K) x + E^{-1} w, z = [I; K] x; needs ``plant.state_space``.
     """
     K = gain.K
     n, m = plant.n, plant.m
     if K.shape != (m, n):
         raise DimensionError(f"gain must be {m} x {n}, got {K.shape}")
-    rc = _rcond(plant.E)
-    if rc < linalg.RANK_RTOL:
+    if not plant.state_space:
         raise SingularMatrixError(
-            f"E is singular (rcond~{rc:.2e}); descriptor cannot be reduced to state-space form",
-            rcond=rc,
+            f"E is singular (rcond~{plant.rcond_E:.2e}); descriptor has no state-space form",
+            rcond=plant.rcond_E,
         )
     Acl = np.linalg.solve(plant.E, plant.A + plant.B @ K)
     Bcl = np.linalg.solve(plant.E, np.eye(n))
@@ -290,18 +292,21 @@ def close_loop(plant: DescriptorPlant, gain: Gain) -> StateSpace:
 
 
 def eval_closed_rational(plant: RationalPlant, gain: Gain, omega: float) -> np.ndarray:
-    """[I; K] (M(j*omega) - N(j*omega) K)^{-1} as a complex (k+m) x k matrix."""
+    """[I; K] (M(j*omega) - N(j*omega) K)^{-1} as a complex (k+m) x k matrix.
+
+    PoleOnAxisError means M - N K is exactly singular (a zero LU pivot) at omega.
+    """
     K = gain.K
     k, m = plant.k, plant.m
     if K.shape != (m, k):
         raise DimensionError(f"gain must be {m} x {k}, got {K.shape}")
     T = plant.eval_M(omega) - plant.eval_N(omega) @ K
-    sv = np.linalg.svd(T, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-13 * sv[0]:
+    try:
+        X = np.linalg.solve(T, np.eye(k))
+    except np.linalg.LinAlgError:
         raise PoleOnAxisError(
             f"M - N*K is singular at omega={omega:g}; the gain does not stabilize the plant"
-        )
-    X = np.linalg.solve(T, np.eye(k))
+        ) from None
     return np.vstack([X, K @ X])
 
 

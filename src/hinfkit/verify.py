@@ -5,8 +5,10 @@ closed-loop H-infinity norm with its peak frequency, and the synthesis
 lower bound sup_w ||(M M^* + N N^*)^{-1}||^{1/2}. The gain is optimal when
 the loop is stable, the norm meets the lower bound, and sigma_max of the loop
 at the frequency the gain was sampled at meets it too, so that frequency
-attains the norm. Poles come from the pencil (A + B K, E), or from the
-block-companion pencil of the cleared loop M - N K otherwise.
+attains the norm. The route is fixed before anything is computed: poles
+come from the pencil (A + B K, E) if E passes the rank test, else from the
+block-companion pencil of the cleared loop M - N K; the norm comes from
+Hamiltonian level sets if also cond(E) < 1e8, else from a frequency grid.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .exceptions import (
     UnstableSystemError,
 )
 from .freqgrid import adaptive_max, adaptive_min, default_grid
-from .linalg import RANK_RTOL, generalized_eigenvalues, spectral_norm
+from .linalg import RANK_RTOL, REDUCTION_COND_MAX, generalized_eigenvalues, spectral_norm
 from .sysmodel import (
     DescriptorPlant,
     Gain,
@@ -109,7 +111,7 @@ def hinf_norm_ss(ss: StateSpace, tol: float = NORM_RTOL) -> NormResult:
     the best sample evaluated, where sigma_max = lb >= norm / (1 + tol / 2).
     """
     A, B, C, D = ss.A, ss.B, ss.C, ss.D
-    if spectral_norm(D) != 0.0:
+    if D.any():
         raise InvalidInputError("norm computation requires a strictly proper system (D = 0)")
     eigs = np.linalg.eigvals(A)
     if eigs.real.max() >= 0:
@@ -326,47 +328,32 @@ def certify_optimality(
 ) -> Certificate:
     """Run the full certificate: stability, norm with peak, lower bound.
 
-    Descriptor-backed plants use the pencil test and the level-set norm;
-    others use the companion-pencil pole test and the grid norm. The gain is
-    optimal when the loop is stable, |norm - lb| <= tol (1 + lb), and
-    sigma0 = sigma_max(T(j omega0)) >= lb - tol (1 + lb); as sigma0 <= norm,
-    omega0 then attains the norm within tol. A pole at omega0 makes sigma0
-    NaN. The verdict never raises; failures are encoded in it.
+    A descriptor plant whose E passes the rank test gets the pencil test,
+    and the level-set norm when cond(E) < REDUCTION_COND_MAX (above it,
+    E^{-1} loses digits QZ keeps); other plants and norms use the companion
+    pencil and the grid. The gain is optimal when the loop is stable,
+    |norm - lb| <= tol (1 + lb), and sigma0 = sigma_max(T(j omega0)) >=
+    lb - tol (1 + lb); as sigma0 <= norm, omega0 then attains the norm
+    within tol. A pole at omega0 makes sigma0 NaN. An unstable loop is a
+    verdict; an error raised while computing the norm propagates.
     """
     desc = plant.descriptor
-    method = "state-space"
-    if desc is not None:
-        try:
-            stab = pencil_stability(desc, gain)
-        except SingularMatrixError:
-            desc = None
-    if desc is None:
-        method = "grid"
-        stab = rational_stability(plant, gain)
+    if desc is not None and not desc.state_space:
+        desc = None
+    level_set = desc is not None and desc.rcond_E > 1.0 / REDUCTION_COND_MAX
+    stab = rational_stability(plant, gain) if desc is None else pencil_stability(desc, gain)
 
     lb = lower_bound(plant, grid=grid)
     tolerances = {"norm_rtol": tol}
     details = {
         "omega0": gain.omega0,
         "formula": gain.formula,
-        "method": method,
+        "method": "state-space" if level_set else "grid",
         "abscissa": stab.abscissa,
         "lower_bound_frequency": lb.omega,
     }
 
-    norm = None
-    if stab.stable and desc is not None:
-        try:
-            norm, peak = hinf_norm_ss(close_loop(desc, gain))
-        except (SingularMatrixError, UnstableSystemError):
-            details["method"] = "grid"
-    if stab.stable and norm is None:
-        try:
-            norm, peak = hinf_norm_grid(plant, gain, grid)
-        except PoleOnAxisError:
-            pass  # a pole on the axis: the loop is not stable after all
-
-    if norm is None:
+    if not stab.stable:
         return Certificate(
             stable=False,
             hinf_norm=math.inf,
@@ -377,6 +364,10 @@ def certify_optimality(
             tolerances=tolerances,
             details=details,
         )
+    if level_set:
+        norm, peak = hinf_norm_ss(close_loop(desc, gain))
+    else:
+        norm, peak = hinf_norm_grid(plant, gain, grid)
 
     try:
         sigma0 = spectral_norm(eval_closed_rational(plant, gain, gain.omega0))

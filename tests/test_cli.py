@@ -17,6 +17,8 @@ from hinfkit.cli import (
     main,
 )
 from hinfkit import DescriptorPlant, NetworkModel, RationalPlant, SchemaError
+from test_golden import MODELS
+from test_verify import SLOW_POLE_K, SLOW_POLE_M, SLOW_POLE_N, slow_pole_norm_at_zero
 
 
 def write(path, doc):
@@ -419,3 +421,78 @@ def test_verify_dense_rational_beyond_eight_outputs(tmp_path):
                           [-np.linalg.solve(E, L - B @ K), -np.linalg.solve(E, F)]])
     expect = float(np.linalg.eigvals(companion).real.max())
     assert cert["details"]["abscissa"] == pytest.approx(expect, rel=1e-9)
+
+
+@pytest.fixture
+def slow_pole_args(tmp_path):
+    """Model and --gain arguments for the loop diag(s + 1e-8, 2e5 (s + 1))."""
+    model = write(tmp_path / "slow.model",
+                  {"format": 1, "kind": "rational", "M": SLOW_POLE_M, "N": SLOW_POLE_N})
+    return [model, "--gain", write(tmp_path / "k.json", {"K": SLOW_POLE_K})]
+
+
+def test_verify_slow_stable_pole_reads_stable(slow_pole_args, tmp_path):
+    out = tmp_path / "v.json"
+    assert main(["verify", *slow_pole_args, "--out", str(out)]) == EXIT_SUBOPTIMAL
+    cert = json.loads(out.read_text())["certificate"]
+    assert cert["stable"] is True
+    assert cert["details"]["method"] == "grid"
+    assert cert["hinf_norm"] == pytest.approx(slow_pole_norm_at_zero(), rel=1e-6)
+
+
+def test_freqresp_slow_stable_pole_tabulates(slow_pole_args, tmp_path):
+    out = tmp_path / "r.csv"
+    assert main(["freqresp", *slow_pole_args, "--out", str(out)]) == EXIT_OK
+    w, v, _ = out.read_text().splitlines()[1].split(",")
+    assert float(w) == 0.0
+    assert float(v) == pytest.approx(slow_pole_norm_at_zero(), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "cmd, option",
+    [("synth", ["--tol", "1e-3"]), ("lower-bound", ["--tol", "1e-3"]),
+     ("freqresp", ["--tol", "1e-3"]), ("generate", ["--unit-h"])],
+    ids=["synth-tol", "lower-bound-tol", "freqresp-tol", "generate-unit-h"],
+)
+def test_unread_options_rejected(cmd, option, lag_model, tmp_path, capsys):
+    if cmd == "generate":
+        target = ["irrigation", "--alpha", "1", "--beta", "2", "--tau", "0.5"]
+    else:
+        target = [lag_model]
+    with pytest.raises(SystemExit) as err:
+        main([cmd, *target, *option, "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert option[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unit_h, entries", [(False, [-0.5, -0.25]), (True, [1.0, 1.0])])
+def test_synth_irrigation_disturbance_map(unit_h, entries, tmp_path):
+    model = write(tmp_path / "irr.model",
+                  {"format": 1, "kind": "network", "network_kind": "irrigation", "nodes": 2,
+                   "edges": [], "params": {"alpha": [2.0, 4.0], "beta": [1.0, 1.0], "tau": [1.0, 1.0]}})
+    out = tmp_path / "s.json"
+    assert main(["synth", model, "--out", str(out)] + ["--unit-h"] * unit_h) == EXIT_OK
+    H = np.array(json.loads(out.read_text())["disturbance_map"])
+    assert H.shape == (4, 2)
+    expect = np.zeros((4, 2))
+    expect[0, 0], expect[2, 1] = entries
+    assert np.array_equal(H, expect)
+
+
+def test_generate_thermal_matches_golden_rooms(tmp_path):
+    out = tmp_path / "rooms.model"
+    assert main(["generate", "thermal", "--masses", "2,1", "--leak", "1,1",
+                 "--conduction", "0-1:1", "--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["params"] == {**MODELS["rooms"]["params"], "outdoor": 0.0}
+    assert {k: doc[k] for k in ("kind", "network_kind", "nodes")} == {
+        "kind": "network", "network_kind": "thermal", "nodes": 2}
+
+
+def test_verify_machines_at_zero_tolerance_is_suboptimal(tmp_path):
+    model = write(tmp_path / "machines.model", MODELS["machines"])
+    out = tmp_path / "v.json"
+    assert main(["verify", model, "--tol", "0", "--out", str(out)]) == EXIT_SUBOPTIMAL
+    modes = json.loads(out.read_text())["modes"]
+    assert len(modes) == 3
+    assert all(m["stable"] and m["verdict"] == "stable-but-suboptimal" for m in modes)

@@ -553,3 +553,84 @@ def test_optimal_verdict_means_omega0_attains_the_norm(case):
         assert sigma0 >= (1.0 - 2.0 * CERT_RTOL) * cert.hinf_norm
     if cert.hinf_norm > cert.lower_bound + CERT_RTOL * (1.0 + cert.lower_bound):
         assert cert.verdict != "optimal"
+
+
+# M = diag(1 + s, 2e5 (1 + s)), N = I: the gain closes the first loop to
+# s + 1e-8, so T(j0) = diag(1e-8, 2e5) is ill-conditioned but invertible.
+SLOW_POLE_M = [[[1.0, 1.0], [0.0]], [[0.0], [2e5, 2e5]]]
+SLOW_POLE_N = [[[1.0], [0.0]], [[0.0], [1.0]]]
+SLOW_POLE_K = [[0.99999999, 0.0], [0.0, 0.0]]
+
+
+def slow_pole_norm_at_zero() -> float:
+    """sigma_max([I; K] (M - N K)^{-1}) at w = 0, by numpy alone."""
+    K = np.array(SLOW_POLE_K)
+    X = np.linalg.inv(np.diag([1.0, 2e5]) - K)
+    return float(np.linalg.norm(np.vstack([X, K @ X]), 2))
+
+
+def test_slow_stable_pole_is_not_a_pole_on_the_axis():
+    plant = RationalPlant(SLOW_POLE_M, SLOW_POLE_N)
+    cert = certify_optimality(plant, Gain(SLOW_POLE_K))
+    assert cert.stable
+    assert cert.details["method"] == "grid"
+    assert cert.details["abscissa"] == pytest.approx(-1e-8, rel=1e-6)
+    assert cert.verdict == "stable-but-suboptimal"
+    assert cert.hinf_norm == pytest.approx(slow_pole_norm_at_zero(), rel=1e-6)
+    assert cert.peak_frequency == 0.0
+
+
+def test_ill_conditioned_E_reads_the_norm_on_the_grid():
+    # cond(E) = 9.2e11: E^{-1} A loses digits that QZ keeps, and a level-set norm
+    # on it read 2.0018, below sigma_max(T(j0)) = ||A^{-1}|| = 2.0023.
+    E = [[0.7163649183095087, -0.697555537697393], [-0.011042994637825512, 0.010753042013336357]]
+    A = [[-0.8070980949995156, 0.3102226496911968], [1.3848721089235345, -2.1982667325451164]]
+    plant = DescriptorPlant(E, A, [[1.328379816412535], [-0.2895516615857001]])
+    assert plant.state_space
+    cert = certify_optimality(plant.to_rational(), Gain(np.zeros((1, 2))))
+    assert cert.stable
+    assert cert.details["method"] == "grid"
+    assert cert.details["abscissa"] == pencil_stability(plant, Gain(np.zeros((1, 2)))).abscissa
+    assert cert.hinf_norm == pytest.approx(np.linalg.norm(np.linalg.inv(A), 2), rel=1e-12)
+    assert cert.peak_frequency == 0.0
+
+
+def test_ill_conditioned_E_with_a_slow_pole_is_certified():
+    # cond(E) = 1.3e8: QZ puts the slow pole at -9.7e-4, while E^{-1} A puts it at +0.015.
+    E = [[0.3467902975799116, -0.3882500750035815], [-0.5687799202201508, 0.6367792169335529]]
+    A = [[0.226109800718319, -0.253141885192026], [1.8131808891605405, -2.029951939271714]]
+    plant = DescriptorPlant(E, A, [[2.766842235475604], [-0.030595565285535264]])
+    gain = Gain(np.zeros((1, 2)))
+    assert pencil_stability(plant, gain).stable
+    assert np.linalg.eigvals(np.linalg.solve(plant.E, plant.A)).real.max() > 0
+    cert = certify_optimality(plant.to_rational(), gain)
+    assert cert.stable
+    assert cert.details["method"] == "grid"
+    assert cert.verdict == "stable-but-suboptimal"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6), st.floats(0.0, 7.9), st.booleans(), st.integers(0, 2**32 - 1))
+def test_level_set_route_sees_the_pencil_eigenvalues(n, log_cond, slow, seed):
+    # Below cond(E) = 1e8 the pencil test and the norm's Hurwitz check take the
+    # same eigenvalues, so a stable pencil never makes hinf_norm_ss refuse the loop.
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    W, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    E = U @ np.diag(np.logspace(0.0, -log_cond, n)) @ W.T
+    lam = -rng.uniform(0.5, 3.0, n)
+    if slow:
+        lam[0] = -(10.0 ** rng.uniform(-6.0, -3.0))
+    V = rng.standard_normal((n, n))
+    A = E @ V @ np.diag(lam) @ np.linalg.inv(V)
+    if np.linalg.cond(A) > 1e11:
+        return  # plants need an invertible A
+    plant = DescriptorPlant(E, A, rng.standard_normal((n, 2)))
+    gain = Gain(0.1 * rng.standard_normal((2, n)))
+    assert plant.rcond_E > 1e-8
+    stab = pencil_stability(plant, gain)
+    loop = close_loop(plant, gain)
+    assert stab.abscissa == np.linalg.eigvals(loop.A).real.max()
+    if stab.stable:
+        cert = certify_optimality(plant.to_rational(), gain)
+        assert cert.stable and cert.details["method"] == "state-space"
