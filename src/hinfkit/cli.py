@@ -14,10 +14,11 @@ Model files are JSON documents with a ``kind`` discriminator:
       network_kind in {buffer, irrigation, thermal, machine, circulant};
       node indices are 0-based.
 
-Each command resolves the loaded model once into its report kind, descriptor
-form, certification plant and canonical gain. A descriptor form with a
-singular E has no state-space reduction: verify and freqresp take the
-rational route and compare refuses it. Only synth takes --weighted.
+Each command resolves the loaded model once into its report kind,
+certification plant (linked to its descriptor form, if any) and canonical
+gain. freqresp tabulates sigma_max with the certificate's own evaluator on
+its route; compare refuses a descriptor form with a singular E. Only synth
+takes --weighted. --tol (>= 0), --omega0 and the grid bounds must be finite.
 
 Exit codes: 0 ok/optimal, 2 schema violation, 3 model invariant violation,
 4 certified suboptimal, 5 unstable, 7 internal error.
@@ -28,9 +29,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,14 +52,7 @@ from .exceptions import (
 )
 from .baseline import AreProblem, gamma_bisect
 from .netgen import NetworkModel
-from .sysmodel import (
-    DescriptorPlant,
-    Gain,
-    RationalPlant,
-    close_loop,
-    eval_closed_rational,
-    modal_plant,
-)
+from .sysmodel import DescriptorPlant, Gain, RationalPlant, modal_plant
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -168,33 +163,29 @@ class _Form:
     """A loaded model as the commands see it; built once by ``_resolve``."""
 
     kind: str  # the report header's model kind
-    descriptor: DescriptorPlant | None  # single descriptor form, if the model has one
-    plant: RationalPlant | None  # certification plant; None for machine networks
+    plant: RationalPlant | None  # linked to its descriptor form if any; None for machine networks
     gain: Callable[[float], Gain]  # canonical gain at the target frequency omega0
     disturbance_map: list | None = None  # irrigation: load disturbances into the states
-
-
-def _descriptor_form(kind, desc, gain, disturbance_map=None) -> _Form:
-    return _Form(kind, desc, desc.to_rational(), gain, disturbance_map)
 
 
 def _resolve(model, unit_h=False) -> _Form:
     """The kind table: every per-kind decision the commands need, in one place."""
     if isinstance(model, RationalPlant):
-        return _Form("rational", None, model, lambda w0: synth.closed_form_gain(model, w0))
+        return _Form("rational", model, lambda w0: synth.closed_form_gain(model, w0))
     if isinstance(model, DescriptorPlant):
-        return _descriptor_form("descriptor", model, lambda _: synth.descriptor_gain(model))
+        return _Form("descriptor", model.to_rational(), lambda _: synth.descriptor_gain(model))
     kind = f"network/{model.kind}"
     if model.kind == "machine":
         m, d, L = netgen.compile_machine(model)
-        return _Form(kind, None, None, lambda _: synth.machine_modal_gains(m, d, L))
+        return _Form(kind, None, lambda _: synth.machine_modal_gains(m, d, L))
     if model.kind == "buffer":
-        return _descriptor_form(kind, netgen.compile_buffer(model), lambda _: synth.buffer_law(model))
+        desc = netgen.compile_buffer(model)
+        return _Form(kind, desc.to_rational(), lambda _: synth.buffer_law(model))
     if model.kind == "irrigation":
         desc, H = netgen.compile_irrigation(model, unit_h=unit_h)
-        return _descriptor_form(kind, desc, lambda _: synth.descriptor_gain(desc), H.tolist())
+        return _Form(kind, desc.to_rational(), lambda _: synth.descriptor_gain(desc), H.tolist())
     desc = netgen.compile_network(model)
-    return _descriptor_form(kind, desc, lambda _: synth.descriptor_gain(desc))
+    return _Form(kind, desc.to_rational(), lambda _: synth.descriptor_gain(desc))
 
 
 def _digest(path) -> str:
@@ -274,41 +265,26 @@ def _gain_report(gain: Gain) -> dict:
     }
 
 
-def _model_header(path, form) -> dict:
-    return {"path": str(path), "digest": _digest(path), "kind": form.kind}
+def _report(path, form, **fields) -> dict:
+    """A report: the tool and model header, then ``fields``."""
+    model = {"path": str(path), "digest": _digest(path), "kind": form.kind}
+    return {"tool": {"name": "hinfkit", "version": __version__}, "model": model, **fields}
 
 
-def _structure_checks(form) -> dict:
+def _structure_checks(plant) -> dict:
     """Descriptor-plant structure tests; the sweep-free route and its fallback."""
-    model = form.descriptor
-    if model is None:
+    desc = plant.descriptor if plant is not None else None
+    if desc is None:
         return {}
-    sym = verify.symmetric_commuting_check(model)
-    out = {
-        "symmetric_commuting": {
-            "holds": sym.holds,
-            "symmetric_E": sym.symmetric_E,
-            "positive_definite_E": sym.positive_definite_E,
-            "symmetric_A": sym.symmetric_A,
-            "negative_definite_A": sym.negative_definite_A,
-            "commuting": sym.commuting,
-        }
-    }
+    sym = verify.symmetric_commuting_check(desc)
+    out = {"symmetric_commuting": {**asdict(sym), "holds": sym.holds}}
     if not sym.holds:
-        dom = verify.zero_peak_inequality(model)
-        if model.state_space:
-            stab = verify.pencil_stability(model, synth.descriptor_gain(model))
-            pencil = {"stable": stab.stable, "abscissa": stab.abscissa}
+        if desc.state_space:
+            pencil = verify.pencil_stability(desc, synth.descriptor_gain(desc))._asdict()
         else:
             pencil = {"applicable": False, "reason": "E is singular"}
         out["fallback"] = {
-            "zero_peak_inequality": {
-                "holds": dom.holds,
-                "min_eigenvalue": dom.min_eigenvalue,
-                "omega_at_min": dom.omega_at_min,
-                "checked_up_to": dom.checked_up_to,
-                "tail_rule": dom.tail_rule,
-            },
+            "zero_peak_inequality": asdict(verify.zero_peak_inequality(desc)),
             "pencil_stability": pencil,
         }
     return out
@@ -326,11 +302,7 @@ def _cmd_synth(args):
             raise InvalidInputError("weighted synthesis is not defined for machine networks")
         Q = _matrix(_load_json(args.weighted), "Q", "")
         gain = synth.weighted_gain(form.plant, Q, args.omega0)
-    report = {
-        "tool": {"name": "hinfkit", "version": __version__},
-        "model": _model_header(args.model, form),
-        "gain": _gain_report(gain),
-    }
+    report = _report(args.model, form, gain=_gain_report(gain))
     if form.disturbance_map is not None:
         report["disturbance_map"] = form.disturbance_map
     _emit(report, args.out)
@@ -350,19 +322,19 @@ def _cmd_verify(args):
     else:
         gain = form.gain(args.omega0)
 
-    report = {
-        "tool": {"name": "hinfkit", "version": __version__},
-        "model": _model_header(args.model, form),
-        "gain": _gain_report(gain),
-        "tolerances": {"tol": args.tol},
-        "checks": _structure_checks(form),
-    }
+    report = _report(
+        args.model,
+        form,
+        gain=_gain_report(gain),
+        tolerances={"tol": args.tol},
+        checks=_structure_checks(form.plant),
+    )
 
     if form.plant is None:
         verdict = _verify_machine(gain, args, report)
     else:
         cert = verify.certify_optimality(form.plant, gain, tol=args.tol, grid=_grid_from(args))
-        report["certificate"] = cert.to_dict()
+        report["certificate"] = asdict(cert)
         verdict = cert.verdict
     _emit(report, args.out)
     if verdict == "optimal":
@@ -381,8 +353,8 @@ def _verify_machine(gain, args, report):
             verify.certify_optimality(plant, mode_gain, tol=args.tol, grid=_grid_from(args))
         )
     worst = max(certs, key=lambda c: c.hinf_norm)
-    report["certificate"] = worst.to_dict()
-    report["modes"] = [c.to_dict() for c in certs]
+    report["certificate"] = asdict(worst)
+    report["modes"] = [asdict(c) for c in certs]
     if any(c.verdict == "unstable" for c in certs):
         return "unstable"
     if all(c.verdict == "optimal" for c in certs):
@@ -395,14 +367,7 @@ def _cmd_lower_bound(args):
     if form.plant is None:
         raise InvalidInputError("lower-bound requires a model with a single plant form")
     bound = verify.lower_bound(form.plant, grid=_grid_from(args))
-    _emit(
-        {
-            "tool": {"name": "hinfkit", "version": __version__},
-            "model": _model_header(args.model, form),
-            "lower_bound": {"value": bound.value, "omega": bound.omega},
-        },
-        args.out,
-    )
+    _emit(_report(args.model, form, lower_bound=bound._asdict()), args.out)
     return EXIT_OK
 
 
@@ -413,36 +378,32 @@ def _cmd_compare(args):
             "compare requires a model with a single descriptor form; "
             "machine networks are verified per mode"
         )
-    if form.descriptor is None:
+    desc = form.plant.descriptor
+    if desc is None:
         raise InvalidInputError("compare requires a descriptor or network model")
-    if not form.descriptor.state_space:
+    if not desc.state_space:
         raise SingularMatrixError(
             "E is singular; compare needs the state-space form the Riccati baseline is posed in"
         )
     gain = form.gain(args.omega0)
     cert = verify.certify_optimality(form.plant, gain, tol=args.tol, grid=_grid_from(args))
-    gamma_star, K_are = gamma_bisect(AreProblem.from_descriptor(form.descriptor), tol=args.tol)
+    gamma_star, K_are = gamma_bisect(AreProblem.from_descriptor(desc), tol=args.tol)
     are_gain = Gain(K_are, 0.0, "external")
     closed = verify.sparsity_pattern(gain)
     dense = verify.sparsity_pattern(are_gain)
-    _emit(
-        {
-            "tool": {"name": "hinfkit", "version": __version__},
-            "model": _model_header(args.model, form),
-            "closed_form": {
-                "gain": _gain_report(gain),
-                "certificate": cert.to_dict(),
-            },
-            "baseline": {
-                "gamma_star": gamma_star,
-                "K": K_are,
-                "sparsity": {"zeros": dense.zeros, "nonzeros": dense.nonzeros},
-            },
-            "norm_ratio": cert.hinf_norm / gamma_star if gamma_star else None,
-            "sparsity_contrast": {"closed_form_zeros": closed.zeros, "baseline_zeros": dense.zeros},
+    report = _report(
+        args.model,
+        form,
+        closed_form={"gain": _gain_report(gain), "certificate": asdict(cert)},
+        baseline={
+            "gamma_star": gamma_star,
+            "K": K_are,
+            "sparsity": {"zeros": dense.zeros, "nonzeros": dense.nonzeros},
         },
-        args.out,
+        norm_ratio=cert.hinf_norm / gamma_star if gamma_star else None,
+        sparsity_contrast={"closed_form_zeros": closed.zeros, "baseline_zeros": dense.zeros},
     )
+    _emit(report, args.out)
     return EXIT_OK
 
 
@@ -451,15 +412,11 @@ def _cmd_freqresp(args):
     gain = _load_gain(args.gain, args.omega0) if args.gain else form.gain(args.omega0)
     if form.plant is None:
         raise InvalidInputError("freqresp requires a model with a single plant form")
-    grid = _grid_from(args)
-    if form.descriptor is not None and form.descriptor.state_space:
-        response = close_loop(form.descriptor, gain).transfer
-    else:
-        response = lambda w: eval_closed_rational(form.plant, gain, w)
+    _, smax = verify.closed_loop_sigma(form.plant, gain)
     rows = []
-    for w in grid:
+    for w in _grid_from(args):
         try:
-            rows.append((float(w), float(np.linalg.norm(response(w), 2))))
+            rows.append((float(w), smax(w)))
         except PoleAtEvaluationError:
             continue
     vmax = max(v for _, v in rows)
@@ -558,14 +515,30 @@ def _cmd_generate(args):
 # argument parsing
 
 
+def finite(text) -> float:
+    """A command-line number that is neither NaN nor infinite."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
+def tolerance(text) -> float:
+    x = finite(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text!r}")
+    return x
+
+
 def _add_common(p, grid=True, tol=False):
     p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
     if tol:
-        p.add_argument("--tol", type=float, default=verify.CERT_RTOL, help="certification tolerance")
-    p.add_argument("--omega0", type=float, default=0.0, help="target peak frequency")
+        help = "certification tolerance; below about 5e-9 no gain passes on the state-space route"
+        p.add_argument("--tol", type=tolerance, default=verify.CERT_RTOL, help=help)
+    p.add_argument("--omega0", type=finite, default=0.0, help="target peak frequency")
     if grid:
-        p.add_argument("--grid-min", type=float, default=freqgrid.GRID_MIN)
-        p.add_argument("--grid-max", type=float, default=freqgrid.GRID_MAX)
+        p.add_argument("--grid-min", type=finite, default=freqgrid.GRID_MIN)
+        p.add_argument("--grid-max", type=finite, default=freqgrid.GRID_MAX)
         p.add_argument("--points", type=int, default=freqgrid.GRID_POINTS)
 
 

@@ -9,11 +9,14 @@ attains the norm. The route is fixed before anything is computed: poles
 come from the pencil (A + B K, E) if E passes the rank test, else from the
 block-companion pencil of the cleared loop M - N K; the norm comes from
 Hamiltonian level sets if also cond(E) < 1e8, else from a frequency grid.
+Each norm route has one evaluator of sigma_max(T(jw)), which sigma_max at
+the sampled frequency and the CLI's frequency table read as well.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -97,6 +100,28 @@ def _imag_axis_frequencies(H: np.ndarray) -> np.ndarray:
     return np.unique(np.abs(ev[on_axis].imag))
 
 
+def _gram_sigma(A: np.ndarray, B: np.ndarray, CtC: np.ndarray) -> Callable[[float], float]:
+    """w -> sigma_max(C X) as sqrt(lambda_max(X^H C^T C X)), X = (jwI - A)^{-1} B.
+
+    An exactly singular jwI - A is a pole on the axis, as in eval_closed_rational.
+    """
+    eye = np.eye(A.shape[0])
+
+    def smax(w: float) -> float:
+        try:
+            X = np.linalg.solve(1j * w * eye - A, B)
+        except np.linalg.LinAlgError:
+            raise PoleOnAxisError(f"jwI - A is singular at omega={w:g}; pole on the axis") from None
+        return math.sqrt(max(float(np.linalg.eigvalsh(X.conj().T @ CtC @ X)[-1]), 0.0))
+
+    return smax
+
+
+def _grid_sigma(plant: RationalPlant, gain: Gain) -> Callable[[float], float]:
+    """w -> sigma_max([I; K](M(jw) - N(jw) K)^{-1}), from the plant's coefficients."""
+    return lambda w: spectral_norm(eval_closed_rational(plant, gain, w))
+
+
 def hinf_norm_ss(ss: StateSpace, tol: float = NORM_RTOL) -> NormResult:
     """H-infinity norm of a stable, strictly proper state-space system.
 
@@ -120,11 +145,7 @@ def hinf_norm_ss(ss: StateSpace, tol: float = NORM_RTOL) -> NormResult:
         )
     BBt = B @ B.T
     CtC = C.T @ C
-    eye = np.eye(A.shape[0])
-
-    def smax(w: float) -> float:
-        X = np.linalg.solve(1j * w * eye - A, B)
-        return math.sqrt(max(float(np.linalg.eigvalsh(X.conj().T @ CtC @ X)[-1]), 0.0))
+    smax = _gram_sigma(A, B, CtC)
 
     # Seed at w = 0 and at the pole most likely to carry a resonant peak.
     if np.any(eigs.imag):
@@ -155,9 +176,7 @@ def hinf_norm_ss(ss: StateSpace, tol: float = NORM_RTOL) -> NormResult:
 
 def hinf_norm_grid(plant: RationalPlant, gain: Gain, grid=None) -> NormResult:
     """Closed-loop norm by adaptive grid search on ||[I; K](M - N K)^{-1}||."""
-    res = adaptive_max(
-        lambda w: spectral_norm(eval_closed_rational(plant, gain, w)), grid=grid
-    )
+    res = adaptive_max(_grid_sigma(plant, gain), grid=grid)
     return NormResult(res.value, res.omega)
 
 
@@ -294,9 +313,34 @@ def rational_stability(plant: RationalPlant, gain: Gain) -> StabilityResult:
     return StabilityResult(abscissa < -margin, abscissa)
 
 
+def _route(plant: RationalPlant) -> tuple[DescriptorPlant | None, bool]:
+    """(descriptor or None, level_set): the certificate's route, read from rcond(E) alone.
+
+    A descriptor whose E passes the rank test gets the pencil test; its norm takes level
+    sets when also cond(E) < REDUCTION_COND_MAX. Every other plant takes the grid.
+    """
+    desc = plant.descriptor
+    if desc is None or not desc.state_space:
+        return None, False
+    return desc, desc.rcond_E > 1.0 / REDUCTION_COND_MAX
+
+
+def closed_loop_sigma(plant: RationalPlant, gain: Gain) -> tuple[StateSpace | None, Callable]:
+    """(loop, w -> sigma_max(T(jw))) for T = [I; K](M - N K)^{-1}, on the certificate's route.
+
+    Level sets: the state-space loop and hinf_norm_ss's Gram evaluator. Grid:
+    None and hinf_norm_grid's. Both raise PoleOnAxisError at a pole on the axis.
+    """
+    desc, level_set = _route(plant)
+    if not level_set:
+        return None, _grid_sigma(plant, gain)
+    loop = close_loop(desc, gain)
+    return loop, _gram_sigma(loop.A, loop.B, loop.C.T @ loop.C)
+
+
 @dataclass
 class Certificate:
-    """Numerical optimality record for one (plant, gain) pair."""
+    """Numerical optimality record for one (plant, gain) pair; dataclasses.asdict serializes it."""
 
     stable: bool
     hinf_norm: float
@@ -307,18 +351,6 @@ class Certificate:
     tolerances: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "stable": self.stable,
-            "hinf_norm": self.hinf_norm,
-            "peak_frequency": self.peak_frequency,
-            "lower_bound": self.lower_bound,
-            "gap": self.gap,
-            "verdict": self.verdict,
-            "tolerances": dict(self.tolerances),
-            "details": dict(self.details),
-        }
-
 
 def certify_optimality(
     plant: RationalPlant,
@@ -328,19 +360,14 @@ def certify_optimality(
 ) -> Certificate:
     """Run the full certificate: stability, norm with peak, lower bound.
 
-    A descriptor plant whose E passes the rank test gets the pencil test,
-    and the level-set norm when cond(E) < REDUCTION_COND_MAX (above it,
-    E^{-1} loses digits QZ keeps); other plants and norms use the companion
-    pencil and the grid. The gain is optimal when the loop is stable,
+    The route is ``_route``'s. The gain is optimal when the loop is stable,
     |norm - lb| <= tol (1 + lb), and sigma0 = sigma_max(T(j omega0)) >=
     lb - tol (1 + lb); as sigma0 <= norm, omega0 then attains the norm
-    within tol. A pole at omega0 makes sigma0 NaN. An unstable loop is a
-    verdict; an error raised while computing the norm propagates.
+    within tol. sigma0 comes from the norm's own evaluator and loop
+    (``closed_loop_sigma``); a pole at omega0 makes it NaN. An unstable
+    loop is a verdict; an error raised while computing the norm propagates.
     """
-    desc = plant.descriptor
-    if desc is not None and not desc.state_space:
-        desc = None
-    level_set = desc is not None and desc.rcond_E > 1.0 / REDUCTION_COND_MAX
+    desc, level_set = _route(plant)
     stab = rational_stability(plant, gain) if desc is None else pencil_stability(desc, gain)
 
     lb = lower_bound(plant, grid=grid)
@@ -364,13 +391,11 @@ def certify_optimality(
             tolerances=tolerances,
             details=details,
         )
-    if level_set:
-        norm, peak = hinf_norm_ss(close_loop(desc, gain))
-    else:
-        norm, peak = hinf_norm_grid(plant, gain, grid)
+    loop, smax = closed_loop_sigma(plant, gain)
+    norm, peak = hinf_norm_grid(plant, gain, grid) if loop is None else hinf_norm_ss(loop)
 
     try:
-        sigma0 = spectral_norm(eval_closed_rational(plant, gain, gain.omega0))
+        sigma0 = smax(gain.omega0)
     except (PoleAtEvaluationError, PoleOnAxisError):
         sigma0 = math.nan
     slack = tol * (1.0 + lb.value)
@@ -409,7 +434,8 @@ def zero_peak_inequality(plant: DescriptorPlant, grid=None) -> DominanceResult:
 
     F = E A^T and G = A A^T + B B^T. Holding for every frequency means the
     closed loop under the descriptor gain peaks at w = 0. The check samples
-    an adaptive grid; beyond the crossover where the quadratic term
+    an adaptive grid and allows -1e-9 lambda_max(G), which scales as H(w)
+    does with (E, A, B); beyond the crossover where the quadratic term
     dominates the linear one, the inequality holds automatically and
     sampling stops (tail rule). A singular F restricts the tail argument to
     the complement of its kernel and extends the grid to 1e6 instead.
@@ -449,7 +475,7 @@ def zero_peak_inequality(plant: DescriptorPlant, grid=None) -> DominanceResult:
 
     res = adaptive_min(min_eig, grid=grid)
     return DominanceResult(
-        holds=res.value >= -1e-9,
+        holds=res.value >= -1e-9 * float(lam_g[-1]),
         min_eigenvalue=res.value,
         omega_at_min=res.omega,
         checked_up_to=float(np.max(grid)),

@@ -496,3 +496,63 @@ def test_verify_machines_at_zero_tolerance_is_suboptimal(tmp_path):
     modes = json.loads(out.read_text())["modes"]
     assert len(modes) == 3
     assert all(m["stable"] and m["verdict"] == "stable-but-suboptimal" for m in modes)
+
+
+# cond(E) = 9.2e11: the certificate reads this plant on the grid route.
+ILL_CONDITIONED_E = {
+    "format": 1, "kind": "descriptor",
+    "E": [[0.7163649183095087, -0.697555537697393], [-0.011042994637825512, 0.010753042013336357]],
+    "A": [[-0.8070980949995156, 0.3102226496911968], [1.3848721089235345, -2.1982667325451164]],
+    "B": [[1.328379816412535], [-0.2895516615857001]],
+}
+
+
+def _zero_row(args, tmp_path):
+    """The sigma_max cell of freqresp's w = 0 row, as printed."""
+    out = tmp_path / "r.csv"
+    assert main(["freqresp", *args, "--out", str(out)]) == EXIT_OK
+    w, v, _ = out.read_text().splitlines()[1].split(",")
+    assert w == "0.0"
+    return v
+
+
+def _certificate(args, tmp_path):
+    out = tmp_path / "v.json"
+    main(["verify", *args, "--out", str(out)])
+    return json.loads(out.read_text())["certificate"]
+
+
+def test_freqresp_ill_conditioned_E_follows_the_certificate(tmp_path):
+    args = [write(tmp_path / "ill.model", ILL_CONDITIONED_E),
+            "--gain", write(tmp_path / "k.json", {"K": [[0.0, 0.0]]})]
+    cert = _certificate(args, tmp_path)
+    assert cert["hinf_norm"] == cert["details"]["omega0_sigma_max"] == 2.002306712234053
+    assert _zero_row(args, tmp_path) == "2.002306712234053"
+
+
+@pytest.mark.parametrize("name, method", [("rooms", "state-space"), ("double_pole", "grid")])
+def test_freqresp_zero_row_is_the_certificate_sigma0(name, method, tmp_path):
+    args = [write(tmp_path / f"{name}.model", MODELS[name])]
+    cert = _certificate(args, tmp_path)
+    assert cert["details"]["method"] == method and cert["details"]["omega0"] == 0.0
+    assert _zero_row(args, tmp_path) == repr(cert["details"]["omega0_sigma_max"])
+
+
+@pytest.mark.parametrize(
+    "cmd, option, value",
+    [("verify", "--tol", "inf"), ("verify", "--tol", "nan"), ("verify", "--tol", "-1"),
+     ("compare", "--tol", "nan"), ("verify", "--omega0", "nan"), ("verify", "--omega0", "inf"),
+     ("synth", "--omega0", "nan"), ("freqresp", "--omega0", "-inf"), ("verify", "--grid-max", "inf"),
+     ("lower-bound", "--grid-min", "nan")],
+)
+def test_unusable_numbers_rejected(cmd, option, value, droop_model, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([cmd, droop_model, f"{option}={value}", "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+def test_negative_omega0_is_accepted(droop_model, tmp_path):
+    out = tmp_path / "v.json"
+    assert main(["verify", droop_model, "--omega0", "-2", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["certificate"]["details"]["omega0"] == -2.0

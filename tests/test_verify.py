@@ -11,6 +11,7 @@ from hinfkit import (
     Gain,
     InvalidInputError,
     NetworkModel,
+    PoleOnAxisError,
     RationalPlant,
     StateSpace,
     UnstableSystemError,
@@ -19,6 +20,7 @@ from hinfkit import (
     close_loop,
     compile_buffer,
     compile_irrigation,
+    compile_network,
     descriptor_gain,
     droop_gain,
     droop_plant,
@@ -40,6 +42,9 @@ from conftest import asym_chain, random_buffer
 
 SQRT_HALF = 2.0**-0.5
 ASYM_NORM_AT_ONE = math.sqrt(1.0 + math.sqrt(2.0) / 2.0)  # ||G^{-1}||^{1/2}, G = [[3,-1],[-1,1]]
+# The golden "rooms" network: unequal masses, so F = A E^T - E A^T != 0.
+ROOMS = NetworkModel("thermal", 2, [], {
+    "masses": [2.0, 1.0], "heat_capacity": 1.0, "leak": [1.0, 1.0], "conduction": [[0, 1, 1.0]]})
 
 
 class TestPencilStability:
@@ -102,6 +107,16 @@ class TestHinfNormStateSpace:
     def test_feedthrough_rejected(self):
         with pytest.raises(InvalidInputError):
             hinf_norm_ss(StateSpace([[-1.0]], [[1.0]], [[1.0]], [[1.0]]))
+
+    def test_exactly_singular_sample_is_a_pole_on_the_axis(self):
+        # The largest real part of eigvals(A) is -7.4e-17, yet -A is exactly
+        # singular to LU at w = 0: the loop has a pole there, as on the grid route.
+        A = [[-4.345464951034572, 0.35621889863023065, -1.814582604888094],
+             [0.35621889863023065, -0.5663341707390032, 0.029814444452595526],
+             [-1.814582604888094, 0.029814444452595526, -0.7840703671019064]]
+        assert np.linalg.eigvals(A).real.max() < 0
+        with pytest.raises(PoleOnAxisError, match="omega=0"):
+            hinf_norm_ss(StateSpace(A, np.eye(3), np.eye(3), np.zeros((3, 3))))
 
 
 class TestHinfNormGrid:
@@ -267,6 +282,19 @@ class TestZeroPeakInequality:
             for w in np.concatenate([[0.0], np.logspace(-4, 4, 20000)])
         )
         assert res.min_eigenvalue == pytest.approx(dense_min, rel=1e-3)
+
+    @pytest.mark.parametrize("plant", [
+        DescriptorPlant(np.eye(2), [[-0.1, 5.0], [-5.0, -0.1]], 0.01 * np.eye(2)),
+        compile_network(ROOMS),
+        asym_chain(1.0),
+    ], ids=["rotational", "rooms", "asym_chain"])
+    def test_verdict_does_not_depend_on_scale(self, plant):
+        # H(w) scales as c^2 when E, A and B are all multiplied by c; the loop does not change.
+        holds = {
+            zero_peak_inequality(DescriptorPlant(c * plant.E, c * plant.A, c * plant.B)).holds
+            for c in [3e-6, *10.0 ** np.arange(-6, 7)]
+        }
+        assert holds == {zero_peak_inequality(plant).holds}
 
     def test_singular_descriptor_uses_subspace_tail(self):
         p = DescriptorPlant(np.diag([1.0, 0.0]), -np.eye(2), np.eye(2))
@@ -634,3 +662,21 @@ def test_level_set_route_sees_the_pencil_eigenvalues(n, log_cond, slow, seed):
     if stab.stable:
         cert = certify_optimality(plant.to_rational(), gain)
         assert cert.stable and cert.details["method"] == "state-space"
+
+
+def test_level_set_sigma0_evaluates_no_plant(monkeypatch):
+    # sigma_max(T(j w0)) on the level-set route comes from the loop the norm built.
+    plant = compile_network(ROOMS)
+    calls = [0]
+
+    def counting(method):
+        def wrapper(self, w):
+            calls[0] += 1
+            return method(self, w)
+        return wrapper
+
+    monkeypatch.setattr(RationalPlant, "eval_M", counting(RationalPlant.eval_M))
+    monkeypatch.setattr(RationalPlant, "eval_N", counting(RationalPlant.eval_N))
+    cert = certify_optimality(plant.to_rational(), descriptor_gain(plant))
+    assert cert.details["method"] == "state-space" and cert.verdict == "optimal"
+    assert calls[0] == 0
