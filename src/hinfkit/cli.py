@@ -18,7 +18,8 @@ Each command resolves the loaded model once into its report kind,
 certification plant (linked to its descriptor form, if any) and canonical
 gain. freqresp tabulates sigma_max with the certificate's own evaluator on
 its route; compare refuses a descriptor form with a singular E. Only synth
-takes --weighted. --tol (>= 0), --omega0 and the grid bounds must be finite.
+takes --weighted. --tol (>= 0) and --omega0 must be finite, the grid bounds
+finite with 0 < --grid-min < --grid-max, and --points at least 2.
 
 Exit codes: 0 ok/optimal, 2 schema violation, 3 model invariant violation,
 4 certified suboptimal, 5 unstable, 7 internal error.
@@ -413,12 +414,8 @@ def _cmd_freqresp(args):
     if form.plant is None:
         raise InvalidInputError("freqresp requires a model with a single plant form")
     _, smax = verify.closed_loop_sigma(form.plant, gain)
-    rows = []
-    for w in _grid_from(args):
-        try:
-            rows.append((float(w), smax(w)))
-        except PoleAtEvaluationError:
-            continue
+    grid = _grid_from(args)
+    rows = [(float(w), float(v)) for w, v in zip(grid, smax(grid)) if not math.isnan(v)]
     vmax = max(v for _, v in rows)
     lines = ["omega,sigma_max,is_peak"]
     marked = False
@@ -530,6 +527,20 @@ def tolerance(text) -> float:
     return x
 
 
+def positive(text) -> float:
+    x = finite(text)
+    if x <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return x
+
+
+def grid_points(text) -> int:
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"a grid needs at least two points: {text!r}")
+    return n
+
+
 def _add_common(p, grid=True, tol=False):
     p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
     if tol:
@@ -537,9 +548,9 @@ def _add_common(p, grid=True, tol=False):
         p.add_argument("--tol", type=tolerance, default=verify.CERT_RTOL, help=help)
     p.add_argument("--omega0", type=finite, default=0.0, help="target peak frequency")
     if grid:
-        p.add_argument("--grid-min", type=finite, default=freqgrid.GRID_MIN)
-        p.add_argument("--grid-max", type=finite, default=freqgrid.GRID_MAX)
-        p.add_argument("--points", type=int, default=freqgrid.GRID_POINTS)
+        p.add_argument("--grid-min", type=positive, default=freqgrid.GRID_MIN)
+        p.add_argument("--grid-max", type=positive, default=freqgrid.GRID_MAX)
+        p.add_argument("--points", type=grid_points, default=freqgrid.GRID_POINTS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -607,6 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "grid_min" in vars(args) and not args.grid_min < args.grid_max:
+        parser.error(f"argument --grid-max: must exceed --grid-min {args.grid_min!r}")
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -1,9 +1,13 @@
 """Frequency grids and adaptive peak search over them.
 
 All sweeps are one-sided (omega >= 0): every plant handled here has real
-data, so responses are even in omega. Grid evaluations are independent of
-each other; the reduction (max by value, then min by frequency) is
-deterministic regardless of evaluation order.
+data, so responses are even in omega. A sweep evaluates the whole grid in
+one batched call, which stacks the per-frequency matrices and hands them to
+numpy's stacked eigvalsh, solve and svd; golden-section refinement then
+evaluates one frequency at a time. A batched evaluator splits large plants
+into chunks whose stacks stay under STACK_BYTES. The reduction (max by
+value, then min by frequency) is deterministic regardless of evaluation
+order.
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ PEAK_WINDOW_RTOL = 1e-6
 # smallest frequency among them is reported.
 TIE_RTOL = 1e-9
 
+# Byte budget of one stacked evaluation: a batched evaluator splits the grid
+# into chunks whose per-sample matrices together stay under it.
+STACK_BYTES = 1 << 22
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -35,6 +43,28 @@ def default_grid(lo: float = GRID_MIN, hi: float = GRID_MAX, points: int = GRID_
     if not (0 < lo < hi) or points < 2:
         raise InvalidInputError("grid requires 0 < lo < hi and at least two points")
     return np.concatenate(([0.0], np.logspace(math.log10(lo), math.log10(hi), points)))
+
+
+def chunks(omegas: np.ndarray, sample_bytes: int) -> list:
+    """Consecutive slices of ``omegas`` that fit STACK_BYTES.
+
+    ``sample_bytes`` is about what one sample's stacked matrices take,
+    temporaries included.
+    """
+    step = max(1, STACK_BYTES // max(sample_bytes, 1))
+    return [omegas[i : i + step] for i in range(0, len(omegas), step)]
+
+
+def chunked(f, omegas, sample_bytes: int):
+    """``f`` over ``omegas`` in grid order, one call per chunk of ``chunks``.
+
+    ``f`` maps a 1-D array of frequencies to an array of values; a scalar
+    frequency goes to ``f`` as it is.
+    """
+    w = np.asarray(omegas, dtype=float)
+    if w.ndim == 0:
+        return f(w)
+    return np.concatenate([f(c) for c in chunks(w, sample_bytes)])
 
 
 @dataclass
@@ -65,44 +95,55 @@ def _golden_max(f, a, b):
     return max(fc, fd), 0.5 * (a + b)
 
 
-def adaptive_max(f, grid=None) -> PeakResult:
+def _pointwise(f):
+    """A scalar callable as a batched one; an entry pole becomes NaN."""
+
+    def batched(omegas):
+        values = []
+        for w in omegas:
+            try:
+                values.append(float(f(w)))
+            except PoleAtEvaluationError:
+                values.append(math.nan)
+        return np.array(values)
+
+    return batched
+
+
+def adaptive_max(f, grid=None, batched: bool = False) -> PeakResult:
     """Maximize ``f`` over a frequency grid with local refinement.
 
-    ``f`` may raise PoleAtEvaluationError at isolated frequencies (entry
-    poles of a rational plant); such points are skipped. Any other exception
-    propagates. Local maxima of the grid within 0.1% of the grid-wide best
-    are each refined by golden-section search until the surrounding bracket
-    is narrower than ``PEAK_WINDOW_RTOL * (1 + omega)``.
+    With ``batched``, ``f`` maps an array of frequencies to an array of
+    values, and the grid is evaluated in one call; a NaN value marks a
+    skipped sample (an entry pole of a rational plant). Otherwise ``f`` maps
+    one frequency to one value and may raise PoleAtEvaluationError at
+    isolated frequencies, which skips them. Any other exception propagates.
+    Local maxima of the grid within 0.1% of the grid-wide best are each
+    refined by golden-section search, one frequency per call, until the
+    surrounding bracket is narrower than ``PEAK_WINDOW_RTOL * (1 + omega)``.
     """
-    if grid is None:
-        grid = default_grid()
-    omegas, values = [], []
-    skipped = 0
-    for w in np.asarray(grid, dtype=float):
-        try:
-            v = float(f(w))
-        except PoleAtEvaluationError:
-            skipped += 1
-            continue
-        omegas.append(float(w))
-        values.append(v)
-    if not omegas:
+    g = f if batched else _pointwise(f)
+    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    values = np.asarray(g(grid), dtype=float)
+    kept = ~np.isnan(values)
+    skipped = int(grid.size - kept.sum())
+    omegas, values = grid[kept], values[kept]
+    if not omegas.size:
         raise NumericalError("every grid point was skipped; nothing to maximize")
-    omegas = np.asarray(omegas)
-    values = np.asarray(values)
 
     vmax = float(values.max())
     n = len(omegas)
-    local = []
-    for i in range(n):
-        left = values[i - 1] if i > 0 else -np.inf
-        right = values[i + 1] if i < n - 1 else -np.inf
-        if values[i] >= left and values[i] >= right:
-            local.append(i)
+    left = np.concatenate(([-np.inf], values[:-1]))
+    right = np.concatenate((values[1:], [-np.inf]))
+    local = np.flatnonzero((values >= left) & (values >= right))
     threshold = vmax - 1e-3 * (abs(vmax) + 1e-300)
-    candidates = [i for i in local if values[i] >= threshold]
+    candidates = [int(i) for i in local if values[i] >= threshold]
     candidates.sort(key=lambda i: -values[i])
     candidates = candidates[:8]
+
+    def safe(x):
+        v = float(g(np.array([x]))[0])
+        return -np.inf if math.isnan(v) else v
 
     best_value = vmax
     refined = []  # (omega, value)
@@ -112,13 +153,6 @@ def adaptive_max(f, grid=None) -> PeakResult:
         if b <= a:
             refined.append((omegas[i], values[i]))
             continue
-
-        def safe(x):
-            try:
-                return float(f(x))
-            except PoleAtEvaluationError:
-                return -np.inf
-
         v, mid = _golden_max(safe, a, b)
         v = max(v, values[i])
         best_value = max(best_value, v)
@@ -127,12 +161,12 @@ def adaptive_max(f, grid=None) -> PeakResult:
     # Tie-break: smallest frequency whose value is within TIE_RTOL of the
     # best, considering plain grid points and refined peaks alike.
     tie = best_value - TIE_RTOL * (abs(best_value) + 1e-300)
-    contenders = [w for w, v in zip(omegas, values) if v >= tie]
+    contenders = list(omegas[values >= tie])
     contenders += [w for w, v in refined if v >= tie]
     return PeakResult(value=best_value, omega=float(min(contenders)), skipped=skipped)
 
 
-def adaptive_min(f, grid=None) -> PeakResult:
+def adaptive_min(f, grid=None, batched: bool = False) -> PeakResult:
     """Minimize ``f`` via adaptive_max of its negation."""
-    res = adaptive_max(lambda w: -f(w), grid=grid)
+    res = adaptive_max(lambda w: -f(w), grid=grid, batched=batched)
     return PeakResult(value=-res.value, omega=res.omega, skipped=res.skipped)

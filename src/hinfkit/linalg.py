@@ -55,9 +55,15 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def rcond(m) -> float:
-    """sigma_min / sigma_max of ``m``, or 0.0 for an empty or zero matrix."""
+def rcond(m):
+    """sigma_min / sigma_max of ``m``, or 0.0 for an empty or zero matrix.
+
+    A stack of matrices gives one value per matrix.
+    """
     sv = np.linalg.svd(m, compute_uv=False)
+    if sv.ndim > 1:
+        top = sv[..., 0]
+        return np.divide(sv[..., -1], top, out=np.zeros_like(top), where=top != 0.0)
     if sv.size == 0 or sv[0] == 0.0:
         return 0.0
     return float(sv[-1] / sv[0])

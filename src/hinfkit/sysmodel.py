@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import freqgrid, linalg
 from .exceptions import (
     DimensionError,
     HypothesisViolationError,
@@ -155,46 +155,57 @@ class RationalPlant:
     def m(self) -> int:
         return self.n_num.shape[2]
 
-    def _eval(self, num_t, den_t, s):
-        num = np.polynomial.polynomial.polyval(s, num_t)
-        den = np.polynomial.polynomial.polyval(s, den_t)
-        if np.any(den == 0):
-            raise PoleAtEvaluationError(f"plant entry has a pole at s={s}")
+    def _eval(self, num_t, den_t, omega):
+        """num/den at s = j*omega: a matrix, or a (W, rows, cols) stack for W frequencies.
+
+        A scalar omega at an entry pole raises PoleAtEvaluationError; in a
+        stack, that sample's matrix is NaN.
+        """
+        s = 1j * np.asarray(omega, dtype=float)[..., None, None]
+        num = np.polynomial.polynomial.polyval(s, num_t, tensor=False)
+        den = np.polynomial.polynomial.polyval(s, den_t, tensor=False)
+        pole = (den == 0).any(axis=(-2, -1))
+        if pole.any():
+            if not pole.ndim:
+                raise PoleAtEvaluationError(f"plant entry has a pole at s={1j * float(omega)}")
+            out = num / np.where(pole[:, None, None], 1.0, den)
+            out[pole] = np.nan
+            return out
         return num / den
 
-    def eval_M(self, omega: float) -> np.ndarray:
-        """M(j*omega) as a complex k x k matrix."""
-        return self._eval(self.m_num, self.m_den, 1j * float(omega))
+    def eval_M(self, omega) -> np.ndarray:
+        """M(j*omega) as a complex k x k matrix, or a (W, k, k) stack for W frequencies."""
+        return self._eval(self.m_num, self.m_den, omega)
 
-    def eval_N(self, omega: float) -> np.ndarray:
-        """N(j*omega) as a complex k x m matrix."""
-        return self._eval(self.n_num, self.n_den, 1j * float(omega))
+    def eval_N(self, omega) -> np.ndarray:
+        """N(j*omega) as a complex k x m matrix, or a (W, k, m) stack for W frequencies."""
+        return self._eval(self.n_num, self.n_den, omega)
 
     def check_standing_assumptions(self, grid=None) -> None:
         """Verify well-posedness on a frequency grid.
 
         M(j*omega) must have full column rank and M*M^* + N*N^* must be
         invertible at every grid point (isolated entry poles are skipped).
-        Raises StandingAssumptionError on the first violation.
+        The grid is evaluated in stacks; StandingAssumptionError names the
+        first violating frequency in grid order, and a rank loss there
+        comes before a singular Gram.
         """
-        if grid is None:
-            grid = default_grid()
-        for w in grid:
-            try:
-                Mw = self.eval_M(w)
-                Nw = self.eval_N(w)
-            except PoleAtEvaluationError:
-                continue
-            if linalg.rcond(Mw) <= linalg.RANK_RTOL:
-                raise StandingAssumptionError(
-                    f"M(j*omega) loses column rank at omega={w:g}"
-                )
-            S = Mw @ Mw.conj().T + Nw @ Nw.conj().T
+        grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+        for w in freqgrid.chunks(grid, 16 * self.k * (2 * self.k + self.m)):
+            Mw, Nw = self.eval_M(w), self.eval_N(w)
+            kept = ~(np.isnan(Mw[:, 0, 0]) | np.isnan(Nw[:, 0, 0]))
+            w, Mw, Nw = w[kept], Mw[kept], Nw[kept]
+            rank_lost = linalg.rcond(Mw) <= linalg.RANK_RTOL
+            S = Mw @ Mw.conj().swapaxes(-1, -2) + Nw @ Nw.conj().swapaxes(-1, -2)
             lam = np.linalg.eigvalsh(S)
-            if lam[0] <= linalg.RANK_RTOL * max(lam[-1], 1e-300):
-                raise StandingAssumptionError(
-                    f"M*M^* + N*N^* is singular at omega={w:g}"
-                )
+            singular = lam[:, 0] <= linalg.RANK_RTOL * np.maximum(lam[:, -1], 1e-300)
+            bad = np.flatnonzero(rank_lost | singular)
+            if bad.size:
+                i = bad[0]
+                what = "M*M^* + N*N^* is singular"
+                if rank_lost[i]:
+                    what = "M(j*omega) loses column rank"
+                raise StandingAssumptionError(f"{what} at omega={w[i]:g}")
 
 
 @dataclass
@@ -291,23 +302,35 @@ def close_loop(plant: DescriptorPlant, gain: Gain) -> StateSpace:
     return StateSpace(Acl, Bcl, C, D)
 
 
-def eval_closed_rational(plant: RationalPlant, gain: Gain, omega: float) -> np.ndarray:
+def eval_closed_rational(plant: RationalPlant, gain: Gain, omega) -> np.ndarray:
     """[I; K] (M(j*omega) - N(j*omega) K)^{-1} as a complex (k+m) x k matrix.
 
-    PoleOnAxisError means M - N K is exactly singular (a zero LU pivot) at omega.
+    An array of W frequencies gives a (W, k+m, k) stack, NaN at entry-pole
+    samples. PoleOnAxisError means M - N K is exactly singular (a zero LU
+    pivot) at omega; in a stack, at the first such sample in order.
     """
     K = gain.K
     k, m = plant.k, plant.m
     if K.shape != (m, k):
         raise DimensionError(f"gain must be {m} x {k}, got {K.shape}")
-    T = plant.eval_M(omega) - plant.eval_N(omega) @ K
+    Mw, Nw = plant.eval_M(omega), plant.eval_N(omega)
+    T = Mw - Nw @ K
+    X = np.full_like(T, np.nan)
+    kept = ~(np.isnan(Mw[..., 0, 0]) | np.isnan(Nw[..., 0, 0]))
     try:
-        X = np.linalg.solve(T, np.eye(k))
+        X[kept] = np.linalg.solve(T[kept], np.eye(k))
     except np.linalg.LinAlgError:
-        raise PoleOnAxisError(
-            f"M - N*K is singular at omega={omega:g}; the gain does not stabilize the plant"
-        ) from None
-    return np.vstack([X, K @ X])
+        # A stacked solve fails as a whole; name its first singular sample.
+        kept = np.atleast_1d(kept)
+        for w, Tw in zip(np.atleast_1d(omega)[kept], T.reshape(-1, k, k)[kept]):
+            try:
+                np.linalg.solve(Tw, np.eye(k))
+            except np.linalg.LinAlgError:
+                raise PoleOnAxisError(
+                    f"M - N*K is singular at omega={w:g}; the gain does not stabilize the plant"
+                ) from None
+        raise
+    return np.concatenate([X, K @ X], axis=-2)
 
 
 def droop_plant(omega0: float, zeta: float) -> RationalPlant:

@@ -10,7 +10,8 @@ come from the pencil (A + B K, E) if E passes the rank test, else from the
 block-companion pencil of the cleared loop M - N K; the norm comes from
 Hamiltonian level sets if also cond(E) < 1e8, else from a frequency grid.
 Each norm route has one evaluator of sigma_max(T(jw)), which sigma_max at
-the sampled frequency and the CLI's frequency table read as well.
+the sampled frequency and the CLI's frequency table read as well. Every
+frequency sweep evaluates its grid in stacked batches (see freqgrid).
 """
 
 from __future__ import annotations
@@ -100,29 +101,62 @@ def _imag_axis_frequencies(H: np.ndarray) -> np.ndarray:
     return np.unique(np.abs(ev[on_axis].imag))
 
 
-def _gram_sigma(A: np.ndarray, B: np.ndarray, CtC: np.ndarray) -> Callable[[float], float]:
-    """w -> sigma_max(C X) as sqrt(lambda_max(X^H C^T C X)), X = (jwI - A)^{-1} B.
+class _GramSigma:
+    """w -> sigma_max(C X) as sqrt(lambda_max(X^H C^T C X)), X = (jwI - A)^{-1} B, for one loop.
 
-    An exactly singular jwI - A is a pole on the axis, as in eval_closed_rational.
+    C^T C is formed once, here, and the norm's Hamiltonian reads it too.
+    The value at w = 0 is kept: the norm's seed and sigma0 at omega0 = 0
+    both read it. An array of w is evaluated one sample at a time, as one
+    sample of a large loop is already a large solve. An exactly singular
+    jwI - A is a pole on the axis, as in eval_closed_rational.
     """
-    eye = np.eye(A.shape[0])
 
-    def smax(w: float) -> float:
+    def __init__(self, loop: StateSpace):
+        self.A, self.B = loop.A, loop.B
+        self.CtC = loop.C.T @ loop.C
+        self._eye = np.eye(self.A.shape[0])
+        self._at_zero = None
+
+    def __call__(self, w):
+        if np.ndim(w):
+            return np.array([self(x) for x in w])
+        if w != 0.0:
+            return self._sample(w)
+        if self._at_zero is None:
+            self._at_zero = self._sample(w)
+        return self._at_zero
+
+    def _sample(self, w) -> float:
         try:
-            X = np.linalg.solve(1j * w * eye - A, B)
+            X = np.linalg.solve(1j * w * self._eye - self.A, self.B)
         except np.linalg.LinAlgError:
             raise PoleOnAxisError(f"jwI - A is singular at omega={w:g}; pole on the axis") from None
-        return math.sqrt(max(float(np.linalg.eigvalsh(X.conj().T @ CtC @ X)[-1]), 0.0))
-
-    return smax
+        return math.sqrt(max(float(np.linalg.eigvalsh(X.conj().T @ self.CtC @ X)[-1]), 0.0))
 
 
-def _grid_sigma(plant: RationalPlant, gain: Gain) -> Callable[[float], float]:
-    """w -> sigma_max([I; K](M(jw) - N(jw) K)^{-1}), from the plant's coefficients."""
-    return lambda w: spectral_norm(eval_closed_rational(plant, gain, w))
+def _grid_sigma(plant: RationalPlant, gain: Gain) -> Callable:
+    """w -> sigma_max([I; K](M(jw) - N(jw) K)^{-1}), from the plant's coefficients.
+
+    An array of w is evaluated in stacks, NaN at entry-pole samples; a pole
+    of the loop raises PoleOnAxisError at its first sample in order.
+    """
+
+    def values(w):
+        T = eval_closed_rational(plant, gain, w)
+        kept = ~np.isnan(T[..., 0, 0])
+        if not np.isfinite(T[kept]).all():
+            raise InvalidInputError("spectral_norm input contains NaN or Inf entries")
+        out = np.full(T.shape[:-2], np.nan)
+        out[kept] = np.linalg.svd(T[kept], compute_uv=False)[:, 0]
+        return out
+
+    k, m = plant.k, plant.m
+    return lambda w: freqgrid.chunked(values, w, 16 * k * (4 * k + 2 * m))
 
 
-def hinf_norm_ss(ss: StateSpace, tol: float = NORM_RTOL) -> NormResult:
+def hinf_norm_ss(
+    ss: StateSpace, tol: float = NORM_RTOL, *, sigma: _GramSigma | None = None
+) -> NormResult:
     """H-infinity norm of a stable, strictly proper state-space system.
 
     Level-set iteration (Bruinsma and Steinbuch, 1990), seeded at w = 0 and
@@ -134,8 +168,10 @@ def hinf_norm_ss(ss: StateSpace, tol: float = NORM_RTOL) -> NormResult:
     converges quadratically; it stops when no candidate reaches gamma. The
     norm is the midpoint of the bracket [lb, gamma]. The peak frequency is
     the best sample evaluated, where sigma_max = lb >= norm / (1 + tol / 2).
+    ``sigma`` is the loop's evaluator from ``closed_loop_sigma``, for a
+    caller that evaluates the loop as well.
     """
-    A, B, C, D = ss.A, ss.B, ss.C, ss.D
+    A, B, D = ss.A, ss.B, ss.D
     if D.any():
         raise InvalidInputError("norm computation requires a strictly proper system (D = 0)")
     eigs = np.linalg.eigvals(A)
@@ -143,9 +179,8 @@ def hinf_norm_ss(ss: StateSpace, tol: float = NORM_RTOL) -> NormResult:
         raise UnstableSystemError(
             f"state matrix is not Hurwitz (abscissa {eigs.real.max():.3e})"
         )
-    BBt = B @ B.T
-    CtC = C.T @ C
-    smax = _gram_sigma(A, B, CtC)
+    smax = _GramSigma(ss) if sigma is None else sigma
+    BBt, CtC = B @ B.T, smax.CtC
 
     # Seed at w = 0 and at the pole most likely to carry a resonant peak.
     if np.any(eigs.imag):
@@ -176,41 +211,62 @@ def hinf_norm_ss(ss: StateSpace, tol: float = NORM_RTOL) -> NormResult:
 
 def hinf_norm_grid(plant: RationalPlant, gain: Gain, grid=None) -> NormResult:
     """Closed-loop norm by adaptive grid search on ||[I; K](M - N K)^{-1}||."""
-    res = adaptive_max(_grid_sigma(plant, gain), grid=grid)
+    res = adaptive_max(_grid_sigma(plant, gain), grid=grid, batched=True)
     return NormResult(res.value, res.omega)
 
 
-def _bound_function(plant: RationalPlant, Qp: np.ndarray | None):
+def _bound_function(plant: RationalPlant, Qp: np.ndarray | None) -> Callable:
+    """w -> ||(M P M^* + N N^*)^{-1}||^{1/2}, P = Qp Qp^T or I, at one w or in stacks over an array.
+
+    NaN marks an entry-pole sample; a singular Gram raises SingularMatrixError
+    at its first sample in order.
+    """
     desc = plant.descriptor
     if desc is None:
-        def gram(w: float) -> np.ndarray:
+        def gram(w):
             Mw = plant.eval_M(w)
             Nw = plant.eval_N(w)
             if Qp is not None:
                 Mw = Mw @ Qp
-            return Mw @ Mw.conj().T + Nw @ Nw.conj().T
+            return Mw @ Mw.conj().swapaxes(-1, -2) + Nw @ Nw.conj().swapaxes(-1, -2)
+
+        sample_bytes = 16 * plant.k * (3 * plant.k + plant.m)
     else:
         # M P M^* + N N^* for M = jwE - A, P = Qp Qp^T or I; real when F = 0.
         E, A, B = desc.E, desc.A, desc.B
         AP, EP = (A, E) if Qp is None else (A @ Qp @ Qp.T, E @ Qp @ Qp.T)
         EPE, X, G = EP @ E.T, AP @ E.T, AP @ A.T + B @ B.T
         F = X - X.T
+        skew = F.any()
 
-        def gram(w: float) -> np.ndarray:
+        def gram(w):
+            w = w[..., None, None]
             S = G + (w * w) * EPE
-            return S + (1j * w) * F if F.any() else S
+            return S + (1j * w) * F if skew else S
 
-    def f(w: float) -> float:
-        lam = np.linalg.eigvalsh(gram(w))
-        if lam[0] <= linalg.RANK_RTOL * max(lam[-1], 1e-300):
+        sample_bytes = (32 if skew else 16) * desc.n**2
+
+    def values(w):
+        S = gram(w)
+        kept = ~np.isnan(S[..., 0, 0])
+        if kept.all():
+            lam = np.linalg.eigvalsh(S)
+        else:
+            lam = np.full(S.shape[:-1], np.nan)
+            lam[kept] = np.linalg.eigvalsh(S[kept])
+        singular = lam[..., 0] <= linalg.RANK_RTOL * np.maximum(lam[..., -1], 1e-300)
+        if singular.any():
             raise SingularMatrixError(
-                f"M M^* + N N^* is singular at omega={w:g}; "
+                f"M M^* + N N^* is singular at omega={np.atleast_1d(w)[np.argmax(singular)]:g}; "
                 "the plant violates its standing assumptions"
             )
-        return 1.0 / math.sqrt(lam[0])
+        return 1.0 / np.sqrt(lam[..., 0])
+
+    def f(w):
+        return freqgrid.chunked(values, w, sample_bytes)
 
     # With F = 0, S(w) = G + w^2 E P E^T is nondecreasing in the Loewner order.
-    f.nondecreasing = desc is not None and not F.any()
+    f.nondecreasing = desc is not None and not skew
     return f
 
 
@@ -222,12 +278,12 @@ def _sup_bound(plant: RationalPlant, Qp: np.ndarray | None, grid) -> BoundResult
         # ratio is quasiconcave: the singular test fires on the grid only if at an end.
         lo = float(grid.min())
         try:
-            value = f(lo)
+            value = float(f(lo))
             f(float(grid.max()))
             return BoundResult(value, lo)
         except SingularMatrixError:
             pass  # the sweep raises at the first singular sample
-    res = adaptive_max(f, grid=grid)
+    res = adaptive_max(f, grid=grid, batched=True)
     return BoundResult(res.value, res.omega)
 
 
@@ -335,7 +391,7 @@ def closed_loop_sigma(plant: RationalPlant, gain: Gain) -> tuple[StateSpace | No
     if not level_set:
         return None, _grid_sigma(plant, gain)
     loop = close_loop(desc, gain)
-    return loop, _gram_sigma(loop.A, loop.B, loop.C.T @ loop.C)
+    return loop, _GramSigma(loop)
 
 
 @dataclass
@@ -392,10 +448,13 @@ def certify_optimality(
             details=details,
         )
     loop, smax = closed_loop_sigma(plant, gain)
-    norm, peak = hinf_norm_grid(plant, gain, grid) if loop is None else hinf_norm_ss(loop)
+    if loop is None:
+        norm, peak = hinf_norm_grid(plant, gain, grid)
+    else:
+        norm, peak = hinf_norm_ss(loop, sigma=smax)
 
     try:
-        sigma0 = smax(gain.omega0)
+        sigma0 = float(smax(gain.omega0))
     except (PoleAtEvaluationError, PoleOnAxisError):
         sigma0 = math.nan
     slack = tol * (1.0 + lb.value)
@@ -469,11 +528,12 @@ def zero_peak_inequality(plant: DescriptorPlant, grid=None) -> DominanceResult:
         grid = default_grid(freqgrid.GRID_MIN, hi)
     eye = np.eye(G.shape[0])
 
-    def min_eig(w: float) -> float:
+    def min_eig(w):
+        w = w[..., None, None]
         H = (w * w) * FGF + (1j * w) * skew + G - thresh * eye
-        return float(np.linalg.eigvalsh(H)[0])
+        return np.linalg.eigvalsh(H)[..., 0]
 
-    res = adaptive_min(min_eig, grid=grid)
+    res = adaptive_min(lambda w: freqgrid.chunked(min_eig, w, 32 * G.size), grid=grid, batched=True)
     return DominanceResult(
         holds=res.value >= -1e-9 * float(lam_g[-1]),
         min_eigenvalue=res.value,

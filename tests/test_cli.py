@@ -556,3 +556,17 @@ def test_negative_omega0_is_accepted(droop_model, tmp_path):
     out = tmp_path / "v.json"
     assert main(["verify", droop_model, "--omega0", "-2", "--out", str(out)]) == EXIT_OK
     assert json.loads(out.read_text())["certificate"]["details"]["omega0"] == -2.0
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--points=0"], ["--points=-3"], ["--points=1"], ["--grid-min=-1"], ["--grid-min=0"],
+     ["--grid-max=1e-5"], ["--grid-min=2", "--grid-max=2"]],
+)
+@pytest.mark.parametrize("cmd", ["verify", "lower-bound", "freqresp"])
+def test_unusable_grid_rejected(cmd, options, lag_model, tmp_path, capsys):
+    # A grid the options cannot describe is a malformed option, not an invalid model.
+    with pytest.raises(SystemExit) as err:
+        main([cmd, lag_model, *options, "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert options[-1].split("=")[0] in capsys.readouterr().err
