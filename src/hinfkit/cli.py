@@ -14,12 +14,15 @@ Model files are JSON documents with a ``kind`` discriminator:
       network_kind in {buffer, irrigation, thermal, machine, circulant};
       node indices are 0-based.
 
-Each command resolves the loaded model once into its report kind,
-certification plant (linked to its descriptor form, if any) and canonical
-gain. freqresp tabulates sigma_max with the certificate's own evaluator on
+Each operation does each step once: the parser is built once per process,
+``main`` reads the model file once (its sha256 is the report's digest) and
+resolves it into its report kind, certification plant (linked to its
+descriptor form, if any) and canonical gain, and the report is written in one
+walk. freqresp tabulates sigma_max with the certificate's own evaluator on
 its route; compare refuses a descriptor form with a singular E. Only synth
 takes --weighted. --tol (>= 0) and --omega0 must be finite, the grid bounds
 finite with 0 < --grid-min < --grid-max, and --points at least 2.
+Malformed generate lists (numbers, i-j edges, i-j:w weights) exit 2.
 
 Exit codes: 0 ok/optimal, 2 schema violation, 3 model invariant violation,
 4 certified suboptimal, 5 unstable, 7 internal error.
@@ -28,6 +31,7 @@ Exit codes: 0 ok/optimal, 2 schema violation, 3 model invariant violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -119,18 +123,19 @@ def _rational_matrix(doc, key):
 
 def load_model(path):
     """Parse and validate a model file; returns a plant or a NetworkModel."""
-    model = _parse(path)
+    model, _ = _parse(path)
     _resolve(model)  # networks compile, and so validate, here
     return model
 
 
 def _parse(path):
-    """The model a file describes; networks are validated later, when they compile."""
+    """The model a file describes and the sha256 of its bytes; networks validate on compiling."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read model file {path}: {exc}")
+    digest = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -144,18 +149,18 @@ def _parse(path):
         A = _matrix(doc, "A", "")
         B = _matrix(doc, "B", "")
         E = _matrix(doc, "E", "") if "E" in doc else np.eye(A.shape[0])
-        return DescriptorPlant(E, A, B)
+        return DescriptorPlant(E, A, B), digest
     if kind == "rational":
         plant = RationalPlant(_rational_matrix(doc, "M"), _rational_matrix(doc, "N"))
         plant.check_standing_assumptions()
-        return plant
+        return plant, digest
     if kind == "network":
         return NetworkModel(
             kind=doc.get("network_kind", ""),
             nodes=doc.get("nodes", 0),
             edges=doc.get("edges", []),
             params=doc.get("params", {}),
-        )
+        ), digest
     raise SchemaError(f"unknown model kind {kind!r}", field="kind")
 
 
@@ -167,6 +172,7 @@ class _Form:
     plant: RationalPlant | None  # linked to its descriptor form if any; None for machine networks
     gain: Callable[[float], Gain]  # canonical gain at the target frequency omega0
     disturbance_map: list | None = None  # irrigation: load disturbances into the states
+    header: dict | None = None  # the report's model section: path, digest, kind; set by main
 
 
 def _resolve(model, unit_h=False) -> _Form:
@@ -189,11 +195,6 @@ def _resolve(model, unit_h=False) -> _Form:
     return _Form(kind, desc.to_rational(), lambda _: synth.descriptor_gain(desc))
 
 
-def _digest(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -212,42 +213,31 @@ def _load_gain(path, omega0) -> Gain:
 # reports
 
 
-def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (np.bool_, np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (bool, int, float, str)) or x is None:
-        return x
-    return str(x)
-
-
 def _text(x, pad=""):
     """json.dumps(x, indent=2, sort_keys=True) for str-keyed documents.
 
-    Containers that hold no container go to the C encoder in one call, with
-    the indented item separator; only the nesting above them runs in Python.
+    ndarrays and numpy scalars become their JSON values as the walk meets
+    them, and tuples read as lists. Containers that hold no container go to
+    the C encoder in one call, with the indented item separator; only the
+    nesting above them runs in Python.
     """
-    inner = pad + "  "
-    if isinstance(x, dict) and any(isinstance(v, (dict, list)) for v in x.values()):
+    x = x.tolist() if isinstance(x, np.ndarray) else x
+    inner, nested = pad + "  ", (dict, list, tuple, np.ndarray)
+    if isinstance(x, dict) and any(isinstance(v, nested) for v in x.values()):
         items = (f"{json.dumps(k)}: {_text(v, inner)}" for k, v in sorted(x.items()))
         s = "{" + (",\n" + inner).join(items) + "}"
-    elif isinstance(x, list) and any(isinstance(v, (dict, list)) for v in x):
+    elif isinstance(x, (list, tuple)) and any(isinstance(v, nested) for v in x):
         s = "[" + (",\n" + inner).join(_text(v, inner) for v in x) + "]"
     else:
-        s = json.dumps(x, sort_keys=True, separators=(",\n" + inner, ": "))
-    if isinstance(x, (dict, list)) and x:
+        s = json.dumps(x, sort_keys=True, separators=(",\n" + inner, ": "), default=np.generic.item)
+    if isinstance(x, (dict, list, tuple)) and x:
         s = s[0] + "\n" + inner + s[1:-1] + "\n" + pad + s[-1]
     return s
 
 
 def _emit(doc, out_path):
     """Write a report to ``out_path``, or to stdout; text goes as is, documents as JSON."""
-    text = doc if isinstance(doc, str) else _text(_jsonable(doc)) + "\n"
+    text = doc if isinstance(doc, str) else _text(doc) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -261,15 +251,14 @@ def _gain_report(gain: Gain) -> dict:
         "K": gain.K,
         "omega0": gain.omega0,
         "formula": gain.formula,
-        "metadata": _jsonable(gain.metadata),
+        "metadata": gain.metadata,
         "sparsity": {"zeros": pattern.zeros, "nonzeros": pattern.nonzeros},
     }
 
 
-def _report(path, form, **fields) -> dict:
+def _report(form, **fields) -> dict:
     """A report: the tool and model header, then ``fields``."""
-    model = {"path": str(path), "digest": _digest(path), "kind": form.kind}
-    return {"tool": {"name": "hinfkit", "version": __version__}, "model": model, **fields}
+    return {"tool": {"name": "hinfkit", "version": __version__}, "model": form.header, **fields}
 
 
 def _structure_checks(plant) -> dict:
@@ -295,27 +284,21 @@ def _structure_checks(plant) -> dict:
 # subcommands
 
 
-def _cmd_synth(args):
-    form = _resolve(_parse(args.model), unit_h=args.unit_h)
+def _cmd_synth(args, form):
     gain = form.gain(args.omega0)
     if args.weighted:
         if form.plant is None:
             raise InvalidInputError("weighted synthesis is not defined for machine networks")
         Q = _matrix(_load_json(args.weighted), "Q", "")
         gain = synth.weighted_gain(form.plant, Q, args.omega0)
-    report = _report(args.model, form, gain=_gain_report(gain))
+    report = _report(form, gain=_gain_report(gain))
     if form.disturbance_map is not None:
         report["disturbance_map"] = form.disturbance_map
     _emit(report, args.out)
     return EXIT_OK
 
 
-def _grid_from(args):
-    return freqgrid.default_grid(args.grid_min, args.grid_max, args.points)
-
-
-def _cmd_verify(args):
-    form = _resolve(_parse(args.model))
+def _cmd_verify(args, form):
     if args.gain:
         if form.plant is None:
             raise InvalidInputError("machine networks certify their own modal law only")
@@ -324,7 +307,6 @@ def _cmd_verify(args):
         gain = form.gain(args.omega0)
 
     report = _report(
-        args.model,
         form,
         gain=_gain_report(gain),
         tolerances={"tol": args.tol},
@@ -334,7 +316,7 @@ def _cmd_verify(args):
     if form.plant is None:
         verdict = _verify_machine(gain, args, report)
     else:
-        cert = verify.certify_optimality(form.plant, gain, tol=args.tol, grid=_grid_from(args))
+        cert = verify.certify_optimality(form.plant, gain, tol=args.tol, grid=args.grid)
         report["certificate"] = asdict(cert)
         verdict = cert.verdict
     _emit(report, args.out)
@@ -350,9 +332,7 @@ def _verify_machine(gain, args, report):
     for mode in gain.metadata["modes"]:
         plant = modal_plant(m, d, mode["eigenvalue"])
         mode_gain = Gain([[mode["gain"]]], omega0=mode["omega0"], formula="modal")
-        certs.append(
-            verify.certify_optimality(plant, mode_gain, tol=args.tol, grid=_grid_from(args))
-        )
+        certs.append(verify.certify_optimality(plant, mode_gain, tol=args.tol, grid=args.grid))
     worst = max(certs, key=lambda c: c.hinf_norm)
     report["certificate"] = asdict(worst)
     report["modes"] = [asdict(c) for c in certs]
@@ -363,17 +343,15 @@ def _verify_machine(gain, args, report):
     return "stable-but-suboptimal"
 
 
-def _cmd_lower_bound(args):
-    form = _resolve(_parse(args.model))
+def _cmd_lower_bound(args, form):
     if form.plant is None:
         raise InvalidInputError("lower-bound requires a model with a single plant form")
-    bound = verify.lower_bound(form.plant, grid=_grid_from(args))
-    _emit(_report(args.model, form, lower_bound=bound._asdict()), args.out)
+    bound = verify.lower_bound(form.plant, grid=args.grid)
+    _emit(_report(form, lower_bound=bound._asdict()), args.out)
     return EXIT_OK
 
 
-def _cmd_compare(args):
-    form = _resolve(_parse(args.model))
+def _cmd_compare(args, form):
     if form.plant is None:
         raise InvalidInputError(
             "compare requires a model with a single descriptor form; "
@@ -387,13 +365,12 @@ def _cmd_compare(args):
             "E is singular; compare needs the state-space form the Riccati baseline is posed in"
         )
     gain = form.gain(args.omega0)
-    cert = verify.certify_optimality(form.plant, gain, tol=args.tol, grid=_grid_from(args))
+    cert = verify.certify_optimality(form.plant, gain, tol=args.tol, grid=args.grid)
     gamma_star, K_are = gamma_bisect(AreProblem.from_descriptor(desc), tol=args.tol)
     are_gain = Gain(K_are, 0.0, "external")
     closed = verify.sparsity_pattern(gain)
     dense = verify.sparsity_pattern(are_gain)
     report = _report(
-        args.model,
         form,
         closed_form={"gain": _gain_report(gain), "certificate": asdict(cert)},
         baseline={
@@ -408,14 +385,12 @@ def _cmd_compare(args):
     return EXIT_OK
 
 
-def _cmd_freqresp(args):
-    form = _resolve(_parse(args.model))
+def _cmd_freqresp(args, form):
     gain = _load_gain(args.gain, args.omega0) if args.gain else form.gain(args.omega0)
     if form.plant is None:
         raise InvalidInputError("freqresp requires a model with a single plant form")
     _, smax = verify.closed_loop_sigma(form.plant, gain)
-    grid = _grid_from(args)
-    rows = [(float(w), float(v)) for w, v in zip(grid, smax(grid)) if not math.isnan(v)]
+    rows = [(float(w), float(v)) for w, v in zip(args.grid, smax(args.grid)) if not math.isnan(v)]
     vmax = max(v for _, v in rows)
     lines = ["omega,sigma_max,is_peak"]
     marked = False
@@ -427,43 +402,18 @@ def _cmd_freqresp(args):
     return EXIT_OK
 
 
-def _floats(text):
-    return [float(x) for x in str(text).split(",") if x.strip() != ""]
-
-
-def _pairs(text):
-    out = []
-    if not str(text).strip():
-        return out
-    for item in str(text).split(","):
-        i, j = item.strip().split("-")
-        out.append((int(i), int(j)))
-    return out
-
-
-def _weighted_pairs(text):
-    out = []
-    if not str(text).strip():
-        return out
-    for item in str(text).split(","):
-        edge, _, w = item.strip().partition(":")
-        i, j = edge.split("-")
-        out.append((int(i), int(j), float(w) if w else 1.0))
-    return out
-
-
 def _cmd_generate(args):
     kind = args.network_kind
     doc = {"format": 1, "kind": "network", "network_kind": kind}
+    weighted = lambda edges: [[i, j, 1.0 if w is None else w] for i, j, w in edges]
     if kind == "buffer":
-        rates = _floats(args.rates)
         doc.update(
-            nodes=args.nodes or len(rates),
-            edges=[list(e) for e in _pairs(args.edges)],
-            params={"a": rates},
+            nodes=args.nodes or len(args.rates),
+            edges=[[i, j] for i, j, _ in args.edges],
+            params={"a": args.rates},
         )
     elif kind == "irrigation":
-        alpha, beta, tau = _floats(args.alpha), _floats(args.beta), _floats(args.tau)
+        alpha, beta, tau = args.alpha, args.beta, args.tau
         n = args.nodes or max(len(alpha), len(beta), len(tau))
         expand = lambda v: v * n if len(v) == 1 else v
         doc.update(
@@ -472,17 +422,14 @@ def _cmd_generate(args):
             params={"alpha": expand(alpha), "beta": expand(beta), "tau": expand(tau)},
         )
     elif kind == "thermal":
-        masses = _floats(args.masses)
-        leak = _floats(args.leak)
-        n = args.nodes or len(masses)
         doc.update(
-            nodes=n,
+            nodes=args.nodes or len(args.masses),
             edges=[],
             params={
-                "masses": masses,
+                "masses": args.masses,
                 "heat_capacity": args.heat_capacity,
-                "leak": leak,
-                "conduction": [list(t) for t in _weighted_pairs(args.conduction)],
+                "leak": args.leak,
+                "conduction": weighted(args.conduction),
                 "outdoor": args.outdoor,
             },
         )
@@ -493,11 +440,11 @@ def _cmd_generate(args):
             params={
                 "mass": args.mass,
                 "damping": args.damping,
-                "edges": [list(t) for t in _weighted_pairs(args.edges)],
+                "edges": weighted(args.edges),
             },
         )
     elif kind == "circulant":
-        doc.update(nodes=0, edges=[], params={"row": _floats(args.row)})
+        doc.update(nodes=0, edges=[], params={"row": args.row})
     else:
         raise SchemaError(f"unknown network kind {kind!r}")
     net = NetworkModel(
@@ -541,6 +488,21 @@ def grid_points(text) -> int:
     return n
 
 
+def number_list(text) -> list:
+    """'1,2.5' as [1.0, 2.5]; empty items are skipped."""
+    return [float(x) for x in text.split(",") if x.strip()]
+
+
+def edge_list(text) -> list:
+    """'0-1:2.5,1-2' as [(0, 1, 2.5), (1, 2, None)]: node pairs, each with an optional weight."""
+    out = []
+    for item in filter(str.strip, text.split(",")):
+        edge, _, w = item.strip().partition(":")
+        i, j = edge.split("-")
+        out.append((int(i), int(j), float(w) if w else None))
+    return out
+
+
 def _add_common(p, grid=True, tol=False):
     p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
     if tol:
@@ -553,6 +515,7 @@ def _add_common(p, grid=True, tol=False):
         p.add_argument("--points", type=grid_points, default=freqgrid.GRID_POINTS)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hinfkit",
@@ -596,19 +559,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write a network model file")
     p.add_argument("network_kind", choices=netgen.NETWORK_KINDS)
     p.add_argument("--nodes", type=int, default=0)
-    p.add_argument("--edges", default="", help="comma list like 0-1,1-2 (machine: 0-1:w)")
-    p.add_argument("--rates", default="", help="buffer: per-node rates a_i")
-    p.add_argument("--alpha", default="", help="irrigation: per-pool alpha (or one value)")
-    p.add_argument("--beta", default="", help="irrigation: per-pool beta")
-    p.add_argument("--tau", default="", help="irrigation: per-pool tau")
-    p.add_argument("--masses", default="", help="thermal: per-room masses")
+    p.add_argument(
+        "--edges", type=edge_list, default="", help="comma list like 0-1,1-2 (machine: 0-1:w)"
+    )
+    p.add_argument("--rates", type=number_list, default="", help="buffer: per-node rates a_i")
+    p.add_argument(
+        "--alpha", type=number_list, default="", help="irrigation: per-pool alpha (or one value)"
+    )
+    p.add_argument("--beta", type=number_list, default="", help="irrigation: per-pool beta")
+    p.add_argument("--tau", type=number_list, default="", help="irrigation: per-pool tau")
+    p.add_argument("--masses", type=number_list, default="", help="thermal: per-room masses")
     p.add_argument("--heat-capacity", type=float, default=1.0)
-    p.add_argument("--leak", default="", help="thermal: per-room leak coefficients")
-    p.add_argument("--conduction", default="", help="thermal: 0-1:p pairs")
+    p.add_argument(
+        "--leak", type=number_list, default="", help="thermal: per-room leak coefficients"
+    )
+    p.add_argument("--conduction", type=edge_list, default="", help="thermal: 0-1:p pairs")
     p.add_argument("--outdoor", type=float, default=0.0)
     p.add_argument("--mass", type=float, default=1.0, help="machine: inertia")
     p.add_argument("--damping", type=float, default=1.0, help="machine: damping")
-    p.add_argument("--row", default="", help="circulant: generator row")
+    p.add_argument("--row", type=number_list, default="", help="circulant: generator row")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_generate)
 
@@ -620,8 +589,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if "grid_min" in vars(args) and not args.grid_min < args.grid_max:
         parser.error(f"argument --grid-max: must exceed --grid-min {args.grid_min!r}")
+    if vars(args).get("network_kind") == "buffer" and any(w is not None for *_, w in args.edges):
+        parser.error("argument --edges: buffer edges take no weights")
     try:
-        return args.func(args)
+        if "grid_min" in vars(args):
+            args.grid = freqgrid.default_grid(args.grid_min, args.grid_max, args.points)
+        if "model" not in vars(args):
+            return args.func(args)
+        model, digest = _parse(args.model)
+        form = _resolve(model, unit_h=vars(args).get("unit_h", False))
+        form.header = {"path": str(args.model), "digest": digest, "kind": form.kind}
+        return args.func(args, form)
     except SchemaError as exc:
         field = f" (field: {exc.field})" if exc.field else ""
         print(f"hinfkit: schema error: {exc}{field}", file=sys.stderr)

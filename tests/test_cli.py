@@ -1,5 +1,13 @@
+import builtins
+import contextlib
+import hashlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +21,7 @@ from hinfkit.cli import (
     EXIT_SUBOPTIMAL,
     EXIT_UNSTABLE,
     _text,
+    build_parser,
     load_model,
     main,
 )
@@ -372,6 +381,50 @@ def test_report_text_matches_indented_json(doc):
     assert _text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _plain(x):
+    """``x`` with ndarrays, numpy scalars and tuples as the JSON values they stand for."""
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, np.generic):
+        return x.item()
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    return x
+
+
+NUMPY_VALUES = {
+    "empty": np.zeros(0),
+    "vector": np.array([0.1, -2.5, 1e-300]),
+    "matrix": np.arange(6.0).reshape(2, 3) / 7.0,
+    "no_columns": np.zeros((3, 0)),
+    "float64": np.float64(0.1),
+    "int64": np.int64(-7),
+    "true": np.bool_(True),
+    "false": np.bool_(False),
+    "tuple": (1, "a", None, np.float64(2.5)),
+    "nested_tuple": ({"k": (np.int64(3),)}, [np.zeros((1, 2))]),
+}
+
+
+@pytest.mark.parametrize("name", NUMPY_VALUES)
+@pytest.mark.parametrize(
+    "shape",
+    [lambda v: v, lambda v: {"v": v, "x": 1.5}, lambda v: [v, "x"],
+     lambda v: {"a": {"b": [v, {"c": v}]}, "d": [[v]]}],
+    ids=["bare", "flat-dict", "flat-list", "nested"],
+)
+def test_report_text_converts_numpy_values(name, shape):
+    doc = shape(NUMPY_VALUES[name])
+    assert _text(doc) == json.dumps(_plain(doc), indent=2, sort_keys=True)
+
+
+def test_report_text_converts_a_whole_numpy_document():
+    doc = {**NUMPY_VALUES, "list": list(NUMPY_VALUES.values())}
+    assert _text(doc) == json.dumps(_plain(doc), indent=2, sort_keys=True)
+
+
 def _reduced_abscissa(E, A, B, K):
     """Largest real part of the finite poles of E xdot = (A + B K) x, E = diag(I, 0).
 
@@ -570,3 +623,90 @@ def test_unusable_grid_rejected(cmd, options, lag_model, tmp_path, capsys):
         main([cmd, lag_model, *options, "--out", str(tmp_path / "out")])
     assert err.value.code == 2
     assert options[-1].split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["buffer", "--edges", "0-1-2"], ["buffer", "--rates", "1,x"], ["buffer", "--edges", "0-1:3"],
+     ["machine", "--nodes", "2", "--edges", "0-1:w"], ["thermal", "--masses", "1,1", "--conduction", "0-1:x"],
+     ["circulant", "--row=-2,x"], ["irrigation", "--alpha", "1", "--beta", "y", "--tau", "1"]],
+    ids=["buffer-edge-triple", "buffer-rates", "buffer-weight", "machine-weight", "thermal-weight",
+         "circulant-row", "irrigation-beta"],
+)
+def test_generate_malformed_list_is_a_usage_error(argv, tmp_path, capsys):
+    # A malformed list option is a usage error naming the option, like --tol and --points.
+    out = tmp_path / "gen.model"
+    with pytest.raises(SystemExit) as err:
+        main(["generate", *argv, "--out", str(out)])
+    assert err.value.code == 2
+    option = next(a for a in argv[::-1] if a.startswith("--")).split("=")[0]
+    assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call; a usage error counts as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+IRRIGATION = {"format": 1, "kind": "network", "network_kind": "irrigation", "nodes": 2, "edges": [],
+              "params": {"alpha": [2.0, 4.0], "beta": [1.0, 1.0], "tau": [1.0, 1.0]}}
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(["verify", "{lag}", "--gain", "{gain}"], ["verify", "{lag}"]),
+     (["synth", "{irrigation}", "--unit-h"], ["synth", "{irrigation}"]),
+     (["verify", "{lag}", "--points=1"], ["lower-bound", "{lag}"]),
+     (["generate", "buffer", "--edges", "0-1-2"], ["verify", "{lag}"])],
+    ids=["gain-then-none", "unit-h-then-none", "grid-usage-error", "list-usage-error"],
+)
+def test_reused_parser_leaks_no_state(first, second, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    paths = {"lag": write(Path("lag.model"), MODELS["lag"]),
+             "irrigation": write(Path("irr.model"), IRRIGATION),
+             "gain": write(Path("k.json"), {"K": [[0.0]]})}
+    first, second = ([a.format(**paths) for a in argv] for argv in (first, second))
+    build_parser.cache_clear()
+    alone = _run(second)
+    build_parser.cache_clear()
+    before = _run(first)
+    assert before[0] != EXIT_OK or before[1] != alone[1]  # the first command differs from the second
+    assert _run(second) == alone
+    assert build_parser.cache_info().misses == 1  # one parser served both commands
+
+
+@pytest.mark.parametrize("cmd", ["verify", "synth", "lower-bound", "compare", "freqresp"])
+def test_model_file_is_read_once(cmd, lag_model, tmp_path, monkeypatch):
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file) if isinstance(file, (str, os.PathLike)) else file)
+        return real_open(file, *args, **kwargs)
+
+    out = tmp_path / "report"
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main([cmd, lag_model, "--out", str(out)]) == EXIT_OK
+    monkeypatch.undo()
+    assert opened.count(lag_model) == 1
+    if cmd != "freqresp":
+        digest = json.loads(out.read_text())["model"]["digest"]
+        assert digest == hashlib.sha256(Path(lag_model).read_bytes()).hexdigest()
+
+
+def test_module_entry_point_matches_golden(tmp_path):
+    # The real entry point in a fresh interpreter: imports, argv and the exit status.
+    src = Path(__file__).resolve().parent.parent / "src"
+    (tmp_path / "lag.model").write_text(json.dumps(MODELS["lag"]))
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-m", "hinfkit.cli", "verify", "lag.model"],
+                         cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert run.returncode == 0, run.stderr.decode()
+    assert run.stdout == (Path(__file__).parent / "golden" / "lag.verify.out").read_bytes()
