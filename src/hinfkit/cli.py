@@ -18,11 +18,12 @@ Each operation does each step once: the parser is built once per process,
 ``main`` reads the model file once (its sha256 is the report's digest) and
 resolves it into its report kind, certification plant (linked to its
 descriptor form, if any) and canonical gain, and the report is written in one
-walk. freqresp tabulates sigma_max with the certificate's own evaluator on
-its route; compare refuses a descriptor form with a singular E. Only synth
-takes --weighted. --tol (>= 0) and --omega0 must be finite, the grid bounds
-finite with 0 < --grid-min < --grid-max, and --points at least 2.
-Malformed generate lists (numbers, i-j edges, i-j:w weights) exit 2.
+walk, each 2-D float matrix row by row. freqresp tabulates sigma_max with
+the certificate's own evaluator on its route; compare refuses a descriptor
+form with a singular E. Only synth takes --weighted. --tol (>= 0) and
+--omega0 must be finite, the grid bounds finite with 0 < --grid-min <
+--grid-max, and --points at least 2. Malformed generate lists (numbers,
+i-j edges, i-j:w weights) exit 2.
 
 Exit codes: 0 ok/optimal, 2 schema violation, 3 model invariant violation,
 4 certified suboptimal, 5 unstable, 7 internal error.
@@ -213,14 +214,40 @@ def _load_gain(path, omega0) -> Gain:
 # reports
 
 
+# json's spelling of the floats whose repr it does not use.
+_JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _matrix_text(x, pad):
+    """json.dumps(x.tolist(), indent=2) of a 2-D float64 array, one row at a time.
+
+    Exact zeros, most cells of a sparse gain, are the literals 0.0 and -0.0;
+    every other cell is float.__repr__, as json writes it.
+    """
+    inner = pad + "  "
+    rows = []
+    for row in x:
+        cells = ["0.0"] * len(row)
+        for i in np.flatnonzero(np.signbit(row)).tolist():
+            cells[i] = "-0.0"
+        nz = np.flatnonzero(row)
+        for i, text in zip(nz.tolist(), map(repr, row[nz].tolist())):
+            cells[i] = _JSON_FLOAT.get(text, text)
+        rows.append(f"[\n{inner}  " + f",\n{inner}  ".join(cells) + f"\n{inner}]" if cells else "[]")
+    return f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{pad}]" if rows else "[]"
+
+
 def _text(x, pad=""):
     """json.dumps(x, indent=2, sort_keys=True) for str-keyed documents.
 
     ndarrays and numpy scalars become their JSON values as the walk meets
-    them, and tuples read as lists. Containers that hold no container go to
-    the C encoder in one call, with the indented item separator; only the
+    them, and tuples read as lists. A 2-D float64 array is written by row
+    (``_matrix_text``). Containers that hold no container go to the C
+    encoder in one call, with the indented item separator; only the
     nesting above them runs in Python.
     """
+    if isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64:
+        return _matrix_text(x, pad)
     x = x.tolist() if isinstance(x, np.ndarray) else x
     inner, nested = pad + "  ", (dict, list, tuple, np.ndarray)
     if isinstance(x, dict) and any(isinstance(v, nested) for v in x.values()):

@@ -254,6 +254,11 @@ class StateSpace:
         if self.D.shape != (self.C.shape[0], self.B.shape[1]):
             raise DimensionError("D shape must be (outputs, inputs)")
 
+    @cached_property
+    def poles(self) -> np.ndarray:
+        """Eigenvalues of A, computed once: the pole test and the norm's Hurwitz check read them."""
+        return np.linalg.eigvals(self.A)
+
     def transfer(self, omega: float) -> np.ndarray:
         """C (j*omega*I - A)^{-1} B + D."""
         n = self.A.shape[0]
@@ -281,23 +286,32 @@ class Gain:
         self.omega0 = float(self.omega0)
 
 
+def closed_state_matrix(plant: DescriptorPlant, gain: Gain) -> np.ndarray:
+    """A + B K on every pencil route: K must fit the plant and must not overflow it."""
+    if gain.K.shape != (plant.m, plant.n):
+        raise DimensionError(f"gain must be {plant.m} x {plant.n}, got {gain.K.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        AK = plant.A + plant.B @ gain.K
+    if not np.isfinite(AK).all():
+        raise InvalidInputError("gain overflows A + B K: the closed loop has NaN or Inf entries")
+    return AK
+
+
 def close_loop(plant: DescriptorPlant, gain: Gain) -> StateSpace:
     """Closed loop from w to (y, u) with u = K*x, normalized to E = I.
 
     Returns xdot = E^{-1}(A + B K) x + E^{-1} w, z = [I; K] x; needs ``plant.state_space``.
     """
-    K = gain.K
     n, m = plant.n, plant.m
-    if K.shape != (m, n):
-        raise DimensionError(f"gain must be {m} x {n}, got {K.shape}")
+    AK = closed_state_matrix(plant, gain)
     if not plant.state_space:
         raise SingularMatrixError(
             f"E is singular (rcond~{plant.rcond_E:.2e}); descriptor has no state-space form",
             rcond=plant.rcond_E,
         )
-    Acl = np.linalg.solve(plant.E, plant.A + plant.B @ K)
+    Acl = np.linalg.solve(plant.E, AK)
     Bcl = np.linalg.solve(plant.E, np.eye(n))
-    C = np.vstack([np.eye(n), K])
+    C = np.vstack([np.eye(n), gain.K])
     D = np.zeros((n + m, n))
     return StateSpace(Acl, Bcl, C, D)
 

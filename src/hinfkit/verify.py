@@ -9,6 +9,8 @@ attains the norm. The route is fixed before anything is computed: poles
 come from the pencil (A + B K, E) if E passes the rank test, else from the
 block-companion pencil of the cleared loop M - N K; the norm comes from
 Hamiltonian level sets if also cond(E) < 1e8, else from a frequency grid.
+On the level-set route the loop is closed once, and the pole test and the
+norm's Hurwitz check read its one spectrum.
 Each norm route has one evaluator of sigma_max(T(jw)), which sigma_max at
 the sampled frequency and the CLI's frequency table read as well. Every
 frequency sweep evaluates its grid in stacked batches (see freqgrid).
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +46,7 @@ from .sysmodel import (
     StateSpace,
     WeightedObjective,
     close_loop,
+    closed_state_matrix,
     eval_closed_rational,
 )
 
@@ -87,9 +91,20 @@ class BoundResult(NamedTuple):
     omega: float
 
 
-def pencil_stability(plant: DescriptorPlant, gain: Gain) -> StabilityResult:
-    """Whether every eigenvalue of the pencil (A + B K, E) has negative real part."""
-    ev = generalized_eigenvalues(plant.A + plant.B @ gain.K, plant.E)
+def pencil_stability(
+    plant: DescriptorPlant, gain: Gain, loop: StateSpace | None = None
+) -> StabilityResult:
+    """Whether every eigenvalue of the pencil (A + B K, E) has negative real part.
+
+    Given the loop's state-space form (``close_loop``), they are its ``poles``:
+    eig(E^{-1}(A + B K)), which is the pencil solver's own reduction below
+    cond(E) = 1e8, bit for bit. The abscissa must clear the axis by
+    STABILITY_MARGIN_RTOL ||A||.
+    """
+    if loop is None:
+        ev = generalized_eigenvalues(closed_state_matrix(plant, gain), plant.E)
+    else:
+        ev = loop.poles
     abscissa = float(ev.real.max()) if ev.size else -math.inf
     margin = STABILITY_MARGIN_RTOL * spectral_norm(plant.A)
     return StabilityResult(abscissa < -margin, abscissa)
@@ -104,7 +119,8 @@ def _imag_axis_frequencies(H: np.ndarray) -> np.ndarray:
 class _GramSigma:
     """w -> sigma_max(C X) as sqrt(lambda_max(X^H C^T C X)), X = (jwI - A)^{-1} B, for one loop.
 
-    C^T C is formed once, here, and the norm's Hamiltonian reads it too.
+    C^T C is formed once, at first use, and the norm's Hamiltonian reads it
+    too; a loop that fails the pole test never forms it.
     The value at w = 0 is kept: the norm's seed and sigma0 at omega0 = 0
     both read it. An array of w is evaluated one sample at a time, as one
     sample of a large loop is already a large solve. An exactly singular
@@ -112,10 +128,13 @@ class _GramSigma:
     """
 
     def __init__(self, loop: StateSpace):
-        self.A, self.B = loop.A, loop.B
-        self.CtC = loop.C.T @ loop.C
+        self.A, self.B, self._C = loop.A, loop.B, loop.C
         self._eye = np.eye(self.A.shape[0])
         self._at_zero = None
+
+    @cached_property
+    def CtC(self) -> np.ndarray:
+        return self._C.T @ self._C
 
     def __call__(self, w):
         if np.ndim(w):
@@ -169,12 +188,13 @@ def hinf_norm_ss(
     norm is the midpoint of the bracket [lb, gamma]. The peak frequency is
     the best sample evaluated, where sigma_max = lb >= norm / (1 + tol / 2).
     ``sigma`` is the loop's evaluator from ``closed_loop_sigma``, for a
-    caller that evaluates the loop as well.
+    caller that evaluates the loop as well. The Hurwitz check and the pole
+    seed read ``ss.poles``, which a pole test on the same loop has computed.
     """
     A, B, D = ss.A, ss.B, ss.D
     if D.any():
         raise InvalidInputError("norm computation requires a strictly proper system (D = 0)")
-    eigs = np.linalg.eigvals(A)
+    eigs = ss.poles
     if eigs.real.max() >= 0:
         raise UnstableSystemError(
             f"state matrix is not Hurwitz (abscissa {eigs.real.max():.3e})"
@@ -416,7 +436,9 @@ def certify_optimality(
 ) -> Certificate:
     """Run the full certificate: stability, norm with peak, lower bound.
 
-    The route is ``_route``'s. The gain is optimal when the loop is stable,
+    The route is ``_route``'s. On the level-set route the loop is closed
+    once, and the pole test and the norm read its one spectrum
+    (``StateSpace.poles``). The gain is optimal when the loop is stable,
     |norm - lb| <= tol (1 + lb), and sigma0 = sigma_max(T(j omega0)) >=
     lb - tol (1 + lb); as sigma0 <= norm, omega0 then attains the norm
     within tol. sigma0 comes from the norm's own evaluator and loop
@@ -424,7 +446,8 @@ def certify_optimality(
     loop is a verdict; an error raised while computing the norm propagates.
     """
     desc, level_set = _route(plant)
-    stab = rational_stability(plant, gain) if desc is None else pencil_stability(desc, gain)
+    loop, smax = closed_loop_sigma(plant, gain)
+    stab = rational_stability(plant, gain) if desc is None else pencil_stability(desc, gain, loop)
 
     lb = lower_bound(plant, grid=grid)
     tolerances = {"norm_rtol": tol}
@@ -447,7 +470,6 @@ def certify_optimality(
             tolerances=tolerances,
             details=details,
         )
-    loop, smax = closed_loop_sigma(plant, gain)
     if loop is None:
         norm, peak = hinf_norm_grid(plant, gain, grid)
     else:
@@ -571,16 +593,20 @@ def symmetric_commuting_check(plant: DescriptorPlant) -> SymmetryReport:
     """Check E = E^T > 0, A = A^T < 0 and E A = A E.
 
     When all five flags hold, the descriptor gain is optimal with peak at
-    zero and no frequency sweep is needed to certify it.
+    zero and no frequency sweep is needed to certify it. A residue E - E^T,
+    A - A^T or E A - A E that is exactly zero passes with no norm taken;
+    ||E|| and ||A|| are taken only if some residue is nonzero.
     """
     E, A = plant.E, plant.A
-    norm_e = spectral_norm(E)
-    norm_a = spectral_norm(A)
-    sym_e = spectral_norm(E - E.T) <= 1e-12 * max(norm_e, 1e-300)
-    sym_a = spectral_norm(A - A.T) <= 1e-12 * max(norm_a, 1e-300)
+    residues = (E - E.T, A - A.T, E @ A - A @ E)
+    flags = [not r.any() for r in residues]
+    if not all(flags):
+        ne, na = spectral_norm(E), spectral_norm(A)
+        caps = (1e-12 * max(ne, 1e-300), 1e-12 * max(na, 1e-300), 1e-10 * max(ne * na, 1e-300))
+        flags = [ok or spectral_norm(r) <= cap for ok, r, cap in zip(flags, residues, caps)]
+    sym_e, sym_a, commuting = flags
     pd_e = bool(sym_e and np.linalg.eigvalsh(0.5 * (E + E.T))[0] > 0)
     nd_a = bool(sym_a and np.linalg.eigvalsh(0.5 * (A + A.T))[-1] < 0)
-    commuting = spectral_norm(E @ A - A @ E) <= 1e-10 * max(norm_e * norm_a, 1e-300)
     return SymmetryReport(sym_e, pd_e, sym_a, nd_a, commuting)
 
 

@@ -7,12 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hinfkit.cli import (
     EXIT_INVARIANT,
@@ -25,7 +27,8 @@ from hinfkit.cli import (
     load_model,
     main,
 )
-from hinfkit import DescriptorPlant, NetworkModel, RationalPlant, SchemaError
+from hinfkit import DescriptorPlant, NetworkModel, RationalPlant, SchemaError, cli
+from conftest import random_buffer
 from test_golden import MODELS
 from test_verify import SLOW_POLE_K, SLOW_POLE_M, SLOW_POLE_N, slow_pole_norm_at_zero
 
@@ -425,6 +428,47 @@ def test_report_text_converts_a_whole_numpy_document():
     assert _text(doc) == json.dumps(_plain(doc), indent=2, sort_keys=True)
 
 
+# Cells a report matrix can hold: mostly exact zeros, as in a sparse gain.
+FLOAT_CELLS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, 2.5e-310, 1e16, 0.1, -1.5]),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+MATRIX_SHAPES = st.one_of(
+    st.sampled_from([(0, 3), (3, 0), (1, 1), (7, 5)]), hnp.array_shapes(min_dims=2, max_dims=2)
+)
+MATRICES = st.one_of(
+    hnp.arrays(np.float64, MATRIX_SHAPES, elements=FLOAT_CELLS, fill=st.just(0.0)),
+    hnp.arrays(np.float64, MATRIX_SHAPES, elements=FLOAT_CELLS),
+    hnp.arrays(np.int64, MATRIX_SHAPES),
+    hnp.arrays(np.bool_, MATRIX_SHAPES),
+)
+NESTINGS = [lambda m: m, lambda m: {"K": m, "omega0": 0.0},
+            lambda m: {"gain": {"K": m, "v": [m, {"w": m}]}}, lambda m: [[m, "x"], m]]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(MATRICES, st.sampled_from(NESTINGS))
+def test_report_text_writes_matrices_as_json_does(matrix, nest):
+    doc = nest(matrix)
+    assert _text(doc) == json.dumps(_plain(doc), indent=2, sort_keys=True)
+
+
+def test_buffer_verify_report_is_what_json_writes(tmp_path, monkeypatch):
+    net = random_buffer(np.random.default_rng(1), 200)
+    model = write(tmp_path / "buffer200.model", {
+        "format": 1, "kind": "network", "network_kind": "buffer", "nodes": 200,
+        "edges": [list(e) for e in net.edges], "params": {"a": net.params["a"].tolist()}})
+    docs = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda doc, out: emit(docs.append(doc) or doc, out))
+    out = tmp_path / "report.json"
+    assert main(["verify", model, "--out", str(out)]) == EXIT_OK
+    K = docs[0]["gain"]["K"]
+    assert isinstance(K, np.ndarray) and K.shape == (598, 200)
+    assert out.read_text() == json.dumps(_plain(docs[0]), indent=2, sort_keys=True) + "\n"
+
+
 def _reduced_abscissa(E, A, B, K):
     """Largest real part of the finite poles of E xdot = (A + B K) x, E = diag(I, 0).
 
@@ -710,3 +754,32 @@ def test_module_entry_point_matches_golden(tmp_path):
                          cwd=tmp_path, env=env, capture_output=True, timeout=120)
     assert run.returncode == 0, run.stderr.decode()
     assert run.stdout == (Path(__file__).parent / "golden" / "lag.verify.out").read_bytes()
+
+
+
+# A = diag(-1, -2), B = [10; 0]: K = [1e308, 0] makes B K overflow. With cond(E) = 1e9
+# the pencil takes QZ and the norm the grid; with E = I, the reduction and level sets.
+TWO_STATE_E = {"level-set": [[1.0, 0.0], [0.0, 1.0]], "qz": [[1.0, 0.0], [0.0, 1e-9]]}
+
+
+def _two_state_verify(route, K, tmp_path):
+    model = write(tmp_path / "m.model", {"format": 1, "kind": "descriptor", "E": TWO_STATE_E[route],
+                                         "A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[10.0], [0.0]]})
+    return main(["verify", model, "--gain", write(tmp_path / "k.json", {"K": K})])
+
+
+@pytest.mark.parametrize("route", TWO_STATE_E)
+def test_gain_that_overflows_the_loop_is_invalid_input(route, tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _two_state_verify(route, [[1e308, 0.0]], tmp_path)
+    assert [str(w.message) for w in caught] == []
+    assert code == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("hinfkit: invalid model:") and "gain" in err
+
+
+@pytest.mark.parametrize("route", TWO_STATE_E)
+def test_gain_of_the_wrong_shape_is_invalid_input(route, tmp_path, capsys):
+    assert _two_state_verify(route, [[1.0, 0.0, 3.0]], tmp_path) == EXIT_INVARIANT
+    assert "gain must be 1 x 2" in capsys.readouterr().err

@@ -1,0 +1,155 @@
+"""Work counts of one certificate: each dense step runs once.
+
+Counters wrap numpy's entry points with monkeypatch, so a duplicated
+factorization fails here instead of showing up only as a slower benchmark.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hinfkit.linalg
+import hinfkit.verify
+from hinfkit import (
+    DescriptorPlant,
+    buffer_law,
+    certify_optimality,
+    compile_buffer,
+    compile_network,
+    spectral_norm,
+    symmetric_commuting_check,
+)
+from hinfkit.cli import EXIT_OK, _parse, _resolve, main
+from conftest import random_buffer
+from test_golden import MODELS
+from test_verify import ROOMS
+
+try:
+    import numpy.linalg._linalg as numpy_linalg  # numpy >= 2: where norm finds svd
+except ImportError:  # pragma: no cover
+    import numpy.linalg.linalg as numpy_linalg
+
+
+def count_calls(monkeypatch, name):
+    """The shapes of the first argument of every np.linalg.<name> call from now on."""
+    shapes = []
+    real = getattr(np.linalg, name)
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    for module in (np.linalg, numpy_linalg):
+        monkeypatch.setattr(module, name, counted)
+    return shapes
+
+
+def buffer_doc(n, seed=1):
+    net = random_buffer(np.random.default_rng(seed), n)
+    return {"format": 1, "kind": "network", "network_kind": "buffer", "nodes": n,
+            "edges": [list(e) for e in net.edges], "params": {"a": net.params["a"].tolist()}}
+
+
+def test_level_set_certificate_takes_one_closed_loop_spectrum(monkeypatch):
+    # The pole test and the norm's Hurwitz check read one n x n spectrum; the
+    # norm adds one 2n x 2n Hamiltonian. No pencil solver runs on this route.
+    net = random_buffer(np.random.default_rng(1), 50)
+    plant, gain = compile_buffer(net).to_rational(), buffer_law(net)
+    pencils = []
+    real = hinfkit.linalg.generalized_eigenvalues
+
+    def counted(*args):
+        pencils.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hinfkit.verify, "generalized_eigenvalues", counted)
+    monkeypatch.setattr(hinfkit.linalg, "generalized_eigenvalues", counted)
+    eigvals = count_calls(monkeypatch, "eigvals")
+    cert = certify_optimality(plant, gain)
+    assert cert.details["method"] == "state-space" and cert.verdict == "optimal"
+    assert eigvals == [(50, 50), (100, 100)]
+    assert pencils == []
+
+
+def test_buffer_verify_runs_at_most_three_svds(tmp_path, monkeypatch):
+    # rcond(A) when the plant is built, rcond(E) for the route and ||A|| for
+    # the stability margin; the structure check takes none.
+    model = tmp_path / "buffer50.model"
+    model.write_text(json.dumps(buffer_doc(50)))
+    svds = count_calls(monkeypatch, "svd")
+    assert main(["verify", str(model), "--out", str(tmp_path / "report.json")]) == EXIT_OK
+    assert len(svds) <= 3
+
+
+@pytest.mark.parametrize("name", ["line_buffer", "buffer20", "ring", "three_state"])
+def test_symmetric_check_takes_no_norm_of_exact_zeros(name, tmp_path, monkeypatch):
+    path = tmp_path / f"{name}.model"
+    path.write_text(json.dumps(MODELS[name]))
+    desc = _resolve(_parse(str(path))[0]).plant.descriptor
+    svds = count_calls(monkeypatch, "svd")
+    assert symmetric_commuting_check(desc).holds
+    assert svds == []
+
+
+def test_symmetric_check_on_random_buffer_takes_no_svd(monkeypatch):
+    desc = compile_buffer(random_buffer(np.random.default_rng(1), 200))
+    svds = count_calls(monkeypatch, "svd")
+    assert symmetric_commuting_check(desc).holds
+    assert svds == []
+
+
+def test_symmetric_check_on_rooms_takes_norms_only_for_the_commutator(monkeypatch):
+    # Unequal masses: E A != A E, so ||E||, ||A|| and ||E A - A E|| are taken;
+    # the two symmetry residues are exactly zero and take none.
+    plant = compile_network(ROOMS)
+    svds = count_calls(monkeypatch, "svd")
+    report = symmetric_commuting_check(plant)
+    assert (report.symmetric_E, report.symmetric_A, report.commuting) == (True, True, False)
+    assert svds == [(2, 2)] * 3
+
+
+def reference_flags(E, A):
+    """symmetric_E, symmetric_A and commuting with every norm taken, zero residues too."""
+    ne, na = spectral_norm(E), spectral_norm(A)
+    return (
+        spectral_norm(E - E.T) <= 1e-12 * max(ne, 1e-300),
+        spectral_norm(A - A.T) <= 1e-12 * max(na, 1e-300),
+        spectral_norm(E @ A - A @ E) <= 1e-10 * max(ne * na, 1e-300),
+    )
+
+
+@st.composite
+def structured_pairs(draw):
+    """(E, A) with some residues exactly zero, some tiny and some large, at any scale."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X, Y = rng.standard_normal((2, n, n))
+    E = {
+        "identity": np.eye(n),
+        "diagonal": np.diag(rng.uniform(0.5, 2.0, n)),
+        "symmetric": X + X.T,
+        "general": X,
+    }[draw(st.sampled_from(["identity", "diagonal", "symmetric", "general"]))]
+    A = {
+        "polynomial": -np.eye(n) - 0.3 * E @ E,
+        "symmetric": -(Y @ Y.T) - np.eye(n),
+        "near-symmetric": -(Y @ Y.T) - np.eye(n) + 1e-13 * Y,
+        "general": Y - 3 * np.eye(n),
+    }[draw(st.sampled_from(["polynomial", "symmetric", "near-symmetric", "general"]))]
+    c = 10.0 ** draw(st.integers(-6, 6))
+    return c * E, c * A, rng.standard_normal((n, 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(structured_pairs())
+def test_symmetric_check_flags_match_the_check_with_every_norm(pair):
+    E, A, B = pair
+    try:
+        plant = DescriptorPlant(E, A, B)
+    except hinfkit.SingularMatrixError:
+        return  # plants need an invertible A
+    report = symmetric_commuting_check(plant)
+    assert (report.symmetric_E, report.symmetric_A, report.commuting) == reference_flags(E, A)
