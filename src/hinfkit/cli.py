@@ -18,12 +18,15 @@ Each operation does each step once: the parser is built once per process,
 ``main`` reads the model file once (its sha256 is the report's digest) and
 resolves it into its report kind, certification plant (linked to its
 descriptor form, if any) and canonical gain, and the report is written in one
-walk, each 2-D float matrix row by row. freqresp tabulates sigma_max with
-the certificate's own evaluator on its route; compare refuses a descriptor
-form with a singular E. Only synth takes --weighted. --tol (>= 0) and
---omega0 must be finite, the grid bounds finite with 0 < --grid-min <
---grid-max, and --points at least 2. Malformed generate lists (numbers,
-i-j edges, i-j:w weights) exit 2.
+walk, each 2-D float matrix row by row. freqresp takes its sigma_max
+evaluator from verify's one route function, as the certificate does;
+compare refuses a descriptor form with a singular E. Only synth takes
+--weighted. --tol (>= 0) and --omega0 must be finite, the grid bounds
+finite with 0 < --grid-min < --grid-max, and --points at least 2.
+Malformed generate lists (numbers, i-j edges, i-j:w weights) exit 2. Model,
+gain and weight files go through one reader: a file that is unreadable or
+not JSON, or a field of the wrong JSON type (network fields included),
+exits 2; generate builds its network once and writes what it validated.
 
 Exit codes: 0 ok/optimal, 2 schema violation, 3 model invariant violation,
 4 certified suboptimal, 5 unstable, 7 internal error.
@@ -32,6 +35,7 @@ Exit codes: 0 ok/optimal, 2 schema violation, 3 model invariant violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -129,21 +133,44 @@ def load_model(path):
     return model
 
 
-def _parse(path):
-    """The model a file describes and the sha256 of its bytes; networks validate on compiling."""
+def _read_json(path, what, bare=None):
+    """(document, the file's bytes); a document that is not an object reads as {bare: it}.
+
+    Every input file is read here: one that cannot be read, is not JSON in a Unicode
+    encoding, or holds no object where one is needed is a schema error.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise SchemaError(f"cannot read model file {path}: {exc}")
-    digest = hashlib.sha256(raw).hexdigest()
+        raise SchemaError(f"cannot read {what} file {path}: {exc}")
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"model file {path} is not valid JSON: {exc}")
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise SchemaError(f"{what} file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
-        raise SchemaError("model document must be a JSON object")
-    if int(doc.get("format", 1)) != 1:
+        if bare is None:
+            raise SchemaError(f"{what} document must be a JSON object")
+        doc = {bare: doc}
+    return doc, raw
+
+
+@contextlib.contextmanager
+def _network_fields():
+    """Building and compiling a network: a field of the wrong JSON type is a schema error."""
+    try:
+        yield
+    except HinfkitError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed network model: {exc}") from None
+
+
+def _parse(path):
+    """The model a file describes and the sha256 of its bytes; networks validate on compiling."""
+    doc, raw = _read_json(path, "model")
+    digest = hashlib.sha256(raw).hexdigest()
+    if doc.get("format", 1) != 1:
         raise SchemaError(f"unsupported format version {doc.get('format')}", field="format")
     kind = doc.get("kind")
     if kind == "descriptor":
@@ -156,12 +183,14 @@ def _parse(path):
         plant.check_standing_assumptions()
         return plant, digest
     if kind == "network":
-        return NetworkModel(
-            kind=doc.get("network_kind", ""),
-            nodes=doc.get("nodes", 0),
-            edges=doc.get("edges", []),
-            params=doc.get("params", {}),
-        ), digest
+        params = doc.get("params", {})
+        if not isinstance(params, dict):
+            raise SchemaError("field 'params' must be an object", field="params")
+        with _network_fields():
+            net = NetworkModel(
+                doc.get("network_kind", ""), doc.get("nodes", 0), doc.get("edges", []), params
+            )
+        return net, digest
     raise SchemaError(f"unknown model kind {kind!r}", field="kind")
 
 
@@ -183,31 +212,22 @@ def _resolve(model, unit_h=False) -> _Form:
     if isinstance(model, DescriptorPlant):
         return _Form("descriptor", model.to_rational(), lambda _: synth.descriptor_gain(model))
     kind = f"network/{model.kind}"
-    if model.kind == "machine":
-        m, d, L = netgen.compile_machine(model)
-        return _Form(kind, None, lambda _: synth.machine_modal_gains(m, d, L))
-    if model.kind == "buffer":
-        desc = netgen.compile_buffer(model)
-        return _Form(kind, desc.to_rational(), lambda _: synth.buffer_law(model))
-    if model.kind == "irrigation":
-        desc, H = netgen.compile_irrigation(model, unit_h=unit_h)
-        return _Form(kind, desc.to_rational(), lambda _: synth.descriptor_gain(desc), H.tolist())
-    desc = netgen.compile_network(model)
+    with _network_fields():
+        if model.kind == "machine":
+            m, d, L = netgen.compile_machine(model)
+            return _Form(kind, None, lambda _: synth.machine_modal_gains(m, d, L))
+        if model.kind == "buffer":
+            desc = netgen.compile_buffer(model)
+            return _Form(kind, desc.to_rational(), lambda _: synth.buffer_law(model))
+        if model.kind == "irrigation":
+            desc, H = netgen.compile_irrigation(model, unit_h=unit_h)
+            return _Form(kind, desc.to_rational(), lambda _: synth.descriptor_gain(desc), H.tolist())
+        desc = netgen.compile_network(model)
     return _Form(kind, desc.to_rational(), lambda _: synth.descriptor_gain(desc))
 
 
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read JSON file {path}: {exc}")
-
-
 def _load_gain(path, omega0) -> Gain:
-    doc = _load_json(path)
-    K = _matrix(doc if isinstance(doc, dict) else {"K": doc}, "K", "")
-    return Gain(K, omega0, "external")
+    return Gain(_matrix(_read_json(path, "gain", bare="K")[0], "K", ""), omega0, "external")
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +336,7 @@ def _cmd_synth(args, form):
     if args.weighted:
         if form.plant is None:
             raise InvalidInputError("weighted synthesis is not defined for machine networks")
-        Q = _matrix(_load_json(args.weighted), "Q", "")
+        Q = _matrix(_read_json(args.weighted, "weight")[0], "Q", "")
         gain = synth.weighted_gain(form.plant, Q, args.omega0)
     report = _report(form, gain=_gain_report(gain))
     if form.disturbance_map is not None:
@@ -416,7 +436,7 @@ def _cmd_freqresp(args, form):
     gain = _load_gain(args.gain, args.omega0) if args.gain else form.gain(args.omega0)
     if form.plant is None:
         raise InvalidInputError("freqresp requires a model with a single plant form")
-    _, smax = verify.closed_loop_sigma(form.plant, gain)
+    _, _, smax = verify._route(form.plant, gain)
     rows = [(float(w), float(v)) for w, v in zip(args.grid, smax(args.grid)) if not math.isnan(v)]
     vmax = max(v for _, v in rows)
     lines = ["omega,sigma_max,is_peak"]
@@ -431,54 +451,37 @@ def _cmd_freqresp(args, form):
 
 def _cmd_generate(args):
     kind = args.network_kind
-    doc = {"format": 1, "kind": "network", "network_kind": kind}
     weighted = lambda edges: [[i, j, 1.0 if w is None else w] for i, j, w in edges]
     if kind == "buffer":
-        doc.update(
-            nodes=args.nodes or len(args.rates),
-            edges=[[i, j] for i, j, _ in args.edges],
-            params={"a": args.rates},
-        )
+        edges = [(i, j) for i, j, _ in args.edges]
+        net = NetworkModel(kind, args.nodes or len(args.rates), edges, {"a": args.rates})
     elif kind == "irrigation":
         alpha, beta, tau = args.alpha, args.beta, args.tau
         n = args.nodes or max(len(alpha), len(beta), len(tau))
         expand = lambda v: v * n if len(v) == 1 else v
-        doc.update(
-            nodes=n,
-            edges=[],
-            params={"alpha": expand(alpha), "beta": expand(beta), "tau": expand(tau)},
-        )
+        params = {"alpha": expand(alpha), "beta": expand(beta), "tau": expand(tau)}
+        net = NetworkModel(kind, n, [], params)
     elif kind == "thermal":
-        doc.update(
-            nodes=args.nodes or len(args.masses),
-            edges=[],
-            params={
-                "masses": args.masses,
-                "heat_capacity": args.heat_capacity,
-                "leak": args.leak,
-                "conduction": weighted(args.conduction),
-                "outdoor": args.outdoor,
-            },
-        )
+        params = {
+            "masses": args.masses,
+            "heat_capacity": args.heat_capacity,
+            "leak": args.leak,
+            "conduction": weighted(args.conduction),
+            "outdoor": args.outdoor,
+        }
+        net = NetworkModel(kind, args.nodes or len(args.masses), [], params)
     elif kind == "machine":
-        doc.update(
-            nodes=args.nodes,
-            edges=[],
-            params={
-                "mass": args.mass,
-                "damping": args.damping,
-                "edges": weighted(args.edges),
-            },
-        )
-    elif kind == "circulant":
-        doc.update(nodes=0, edges=[], params={"row": args.row})
+        params = {
+            "mass": args.mass,
+            "damping": args.damping,
+            "edges": weighted(args.edges),
+        }
+        net = NetworkModel(kind, args.nodes, [], params)
     else:
-        raise SchemaError(f"unknown network kind {kind!r}")
-    net = NetworkModel(
-        kind=kind, nodes=doc.get("nodes", 0), edges=doc.get("edges", []), params=doc["params"]
-    )
+        net = NetworkModel(kind, 0, [], {"row": args.row})
     _resolve(net)  # validate before writing
-    _emit(doc, args.out)
+    doc = {"format": 1, "kind": "network", "network_kind": kind}
+    _emit({**doc, "nodes": net.nodes, "edges": net.edges, "params": net.params}, args.out)
     return EXIT_OK
 
 

@@ -165,9 +165,6 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial(np.polynomial.polynomial.polysub(self.coefficients, other.coefficients))
 
-    def scale(self, c: float) -> "Polynomial":
-        return Polynomial(c * self.coefficients)
-
 
 def rational_eval(num, den, s: complex) -> complex:
     """Evaluate num(s)/den(s) by Horner's rule.

@@ -43,6 +43,8 @@ class NetworkModel:
                 f"unknown network kind {self.kind!r}; expected one of {NETWORK_KINDS}"
             )
         self.nodes = int(self.nodes)
+        if self.nodes < 0:
+            raise InvalidInputError(f"a network cannot have {self.nodes} nodes")
         self.edges = [(int(i), int(j)) for i, j in self.edges]
 
 

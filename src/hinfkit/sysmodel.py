@@ -125,7 +125,7 @@ class RationalPlant:
     those.
     """
 
-    def __init__(self, M, N, descriptor: DescriptorPlant | None = None):
+    def __init__(self, M, N):
         M = [[_entry(e) for e in row] for row in M]
         N = [[_entry(e) for e in row] for row in N]
         k = len(M)
@@ -138,7 +138,7 @@ class RationalPlant:
             raise DimensionError("rows of N must have equal length")
         self.m_num, self.m_den = (_tensor(M, side, k, k) for side in (0, 1))
         self.n_num, self.n_den = (_tensor(N, side, k, m) for side in (0, 1))
-        self.descriptor = descriptor
+        self.descriptor = None
 
     @classmethod
     def _from_tensors(cls, m_num, m_den, n_num, n_den, descriptor=None) -> "RationalPlant":
@@ -321,16 +321,21 @@ def eval_closed_rational(plant: RationalPlant, gain: Gain, omega) -> np.ndarray:
 
     An array of W frequencies gives a (W, k+m, k) stack, NaN at entry-pole
     samples. PoleOnAxisError means M - N K is exactly singular (a zero LU
-    pivot) at omega; in a stack, at the first such sample in order.
+    pivot) at omega; in a stack, at the first such sample in order. A gain
+    that overflows M - N K at a sample with no entry pole raises
+    InvalidInputError.
     """
     K = gain.K
     k, m = plant.k, plant.m
     if K.shape != (m, k):
         raise DimensionError(f"gain must be {m} x {k}, got {K.shape}")
     Mw, Nw = plant.eval_M(omega), plant.eval_N(omega)
-    T = Mw - Nw @ K
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = Mw - Nw @ K
     X = np.full_like(T, np.nan)
     kept = ~(np.isnan(Mw[..., 0, 0]) | np.isnan(Nw[..., 0, 0]))
+    if not np.isfinite(T).all() and not np.isfinite(T[kept]).all():
+        raise InvalidInputError("gain overflows M - N K: the closed loop has NaN or Inf entries")
     try:
         X[kept] = np.linalg.solve(T[kept], np.eye(k))
     except np.linalg.LinAlgError:

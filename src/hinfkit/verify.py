@@ -9,11 +9,11 @@ attains the norm. The route is fixed before anything is computed: poles
 come from the pencil (A + B K, E) if E passes the rank test, else from the
 block-companion pencil of the cleared loop M - N K; the norm comes from
 Hamiltonian level sets if also cond(E) < 1e8, else from a frequency grid.
-On the level-set route the loop is closed once, and the pole test and the
-norm's Hurwitz check read its one spectrum.
-Each norm route has one evaluator of sigma_max(T(jw)), which sigma_max at
-the sampled frequency and the CLI's frequency table read as well. Every
-frequency sweep evaluates its grid in stacked batches (see freqgrid).
+``_route`` decides this once per certificate and builds the loop's one
+sigma_max(T(jw)) evaluator, read by the norm, by sigma_max at the sampled
+frequency and by the CLI's frequency table. On the level-set route the loop
+is closed once; the pole test and the norm's Hurwitz check read its one
+spectrum. Every frequency sweep evaluates its grid in stacked batches.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ def hinf_norm_ss(
     converges quadratically; it stops when no candidate reaches gamma. The
     norm is the midpoint of the bracket [lb, gamma]. The peak frequency is
     the best sample evaluated, where sigma_max = lb >= norm / (1 + tol / 2).
-    ``sigma`` is the loop's evaluator from ``closed_loop_sigma``, for a
-    caller that evaluates the loop as well. The Hurwitz check and the pole
+    ``sigma`` is the loop's evaluator from ``_route``, for a caller that
+    evaluates the loop as well. The Hurwitz check and the pole
     seed read ``ss.poles``, which a pole test on the same loop has computed.
     """
     A, B, D = ss.A, ss.B, ss.D
@@ -358,6 +358,7 @@ def rational_stability(plant: RationalPlant, gain: Gain) -> StabilityResult:
     eigenvalues of its block-companion pencil, from one QZ factorization.
     Infinite eigenvalues, which a singular leading block C_d brings, are
     dropped; a pair with alpha = beta = 0 means det P vanishes identically.
+    A gain that overflows M - N K raises InvalidInputError.
     """
     K, k = gain.K, plant.k
     if K.shape != (plant.m, k):
@@ -367,8 +368,11 @@ def rational_stability(plant: RationalPlant, gain: Gain) -> StabilityResult:
     den = _join(plant.m_den, plant.n_den[:, :, fed])
     rows = [_cleared(num[:, i], den[:, i]) for i in range(k)]
     C = np.zeros((max(2, *(len(r) for r in rows)), k, k))
-    for i, r in enumerate(rows):
-        C[: len(r), i] = r[:, :k] - r[:, k:] @ K[fed]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, r in enumerate(rows):
+            C[: len(r), i] = r[:, :k] - r[:, k:] @ K[fed]
+    if not np.isfinite(C).all():
+        raise InvalidInputError("gain overflows M - N K: the closed loop has NaN or Inf entries")
     while len(C) > 2 and not C[-1].any():  # padding leaves exact zero top blocks
         C = C[:-1]
     d = len(C) - 1
@@ -389,29 +393,24 @@ def rational_stability(plant: RationalPlant, gain: Gain) -> StabilityResult:
     return StabilityResult(abscissa < -margin, abscissa)
 
 
-def _route(plant: RationalPlant) -> tuple[DescriptorPlant | None, bool]:
-    """(descriptor or None, level_set): the certificate's route, read from rcond(E) alone.
+def _route(
+    plant: RationalPlant, gain: Gain
+) -> tuple[DescriptorPlant | None, StateSpace | None, Callable]:
+    """(desc, loop, sigma): the certificate's route, read from rcond(E) alone.
 
-    A descriptor whose E passes the rank test gets the pencil test; its norm takes level
-    sets when also cond(E) < REDUCTION_COND_MAX. Every other plant takes the grid.
+    ``desc`` is the descriptor for the pencil pole test if E passes the rank test, else None
+    (the block-companion pencil). If also cond(E) < REDUCTION_COND_MAX, ``loop`` is the loop
+    closed for level sets and ``sigma`` its _GramSigma; else ``loop`` is None and ``sigma``
+    is _grid_sigma. ``sigma``, w -> sigma_max(T(jw)), is the loop's one evaluator; both
+    kinds raise PoleOnAxisError at a pole on the axis.
     """
     desc = plant.descriptor
     if desc is None or not desc.state_space:
-        return None, False
-    return desc, desc.rcond_E > 1.0 / REDUCTION_COND_MAX
-
-
-def closed_loop_sigma(plant: RationalPlant, gain: Gain) -> tuple[StateSpace | None, Callable]:
-    """(loop, w -> sigma_max(T(jw))) for T = [I; K](M - N K)^{-1}, on the certificate's route.
-
-    Level sets: the state-space loop and hinf_norm_ss's Gram evaluator. Grid:
-    None and hinf_norm_grid's. Both raise PoleOnAxisError at a pole on the axis.
-    """
-    desc, level_set = _route(plant)
-    if not level_set:
-        return None, _grid_sigma(plant, gain)
+        return None, None, _grid_sigma(plant, gain)
+    if desc.rcond_E <= 1.0 / REDUCTION_COND_MAX:
+        return desc, None, _grid_sigma(plant, gain)
     loop = close_loop(desc, gain)
-    return loop, _GramSigma(loop)
+    return desc, loop, _GramSigma(loop)
 
 
 @dataclass
@@ -436,63 +435,47 @@ def certify_optimality(
 ) -> Certificate:
     """Run the full certificate: stability, norm with peak, lower bound.
 
-    The route is ``_route``'s. On the level-set route the loop is closed
-    once, and the pole test and the norm read its one spectrum
-    (``StateSpace.poles``). The gain is optimal when the loop is stable,
-    |norm - lb| <= tol (1 + lb), and sigma0 = sigma_max(T(j omega0)) >=
-    lb - tol (1 + lb); as sigma0 <= norm, omega0 then attains the norm
-    within tol. sigma0 comes from the norm's own evaluator and loop
-    (``closed_loop_sigma``); a pole at omega0 makes it NaN. An unstable
-    loop is a verdict; an error raised while computing the norm propagates.
+    The route is ``_route``'s, decided once. On the level-set route the loop
+    is closed once, and the pole test and the norm read its one spectrum
+    (``StateSpace.poles``). The norm and sigma0 read the route's one sigma
+    evaluator: the level-set norm seeds from it, the grid norm sweeps it. The
+    gain is optimal when the loop is stable, |norm - lb| <= tol (1 + lb), and
+    sigma0 = sigma_max(T(j omega0)) >= lb - tol (1 + lb); as sigma0 <= norm,
+    omega0 then attains the norm within tol. A pole at omega0 makes sigma0
+    NaN. An unstable loop is a verdict; an error raised while computing the
+    norm propagates.
     """
-    desc, level_set = _route(plant)
-    loop, smax = closed_loop_sigma(plant, gain)
+    desc, loop, smax = _route(plant, gain)
     stab = rational_stability(plant, gain) if desc is None else pencil_stability(desc, gain, loop)
 
     lb = lower_bound(plant, grid=grid)
-    tolerances = {"norm_rtol": tol}
     details = {
         "omega0": gain.omega0,
         "formula": gain.formula,
-        "method": "state-space" if level_set else "grid",
+        "method": "grid" if loop is None else "state-space",
         "abscissa": stab.abscissa,
         "lower_bound_frequency": lb.omega,
     }
-
-    if not stab.stable:
-        return Certificate(
-            stable=False,
-            hinf_norm=math.inf,
-            peak_frequency=math.nan,
-            lower_bound=lb.value,
-            gap=math.inf,
-            verdict="unstable",
-            tolerances=tolerances,
-            details=details,
-        )
-    if loop is None:
-        norm, peak = hinf_norm_grid(plant, gain, grid)
-    else:
-        norm, peak = hinf_norm_ss(loop, sigma=smax)
-
-    try:
-        sigma0 = float(smax(gain.omega0))
-    except (PoleAtEvaluationError, PoleOnAxisError):
-        sigma0 = math.nan
-    slack = tol * (1.0 + lb.value)
-    gap = norm - lb.value
-    optimal = abs(gap) <= slack and sigma0 >= lb.value - slack
-    details["omega0_sigma_max"] = sigma0
-    details["omega0_margin"] = (sigma0 - lb.value) / slack if slack > 0 else math.nan
+    norm, peak, verdict = math.inf, math.nan, "unstable"
+    if stab.stable:
+        if loop is None:
+            res = adaptive_max(smax, grid=grid, batched=True)
+            norm, peak = res.value, res.omega
+        else:
+            norm, peak = hinf_norm_ss(loop, sigma=smax)
+        try:
+            sigma0 = float(smax(gain.omega0))
+        except (PoleAtEvaluationError, PoleOnAxisError):
+            sigma0 = math.nan
+        slack = tol * (1.0 + lb.value)
+        optimal = abs(norm - lb.value) <= slack and sigma0 >= lb.value - slack
+        verdict = "optimal" if optimal else "stable-but-suboptimal"
+        details["omega0_sigma_max"] = sigma0
+        details["omega0_margin"] = (sigma0 - lb.value) / slack if slack > 0 else math.nan
     return Certificate(
-        stable=True,
-        hinf_norm=float(norm),
-        peak_frequency=float(peak),
-        lower_bound=float(lb.value),
-        gap=float(gap),
-        verdict="optimal" if optimal else "stable-but-suboptimal",
-        tolerances=tolerances,
-        details=details,
+        stable=stab.stable, hinf_norm=float(norm), peak_frequency=float(peak),
+        lower_bound=float(lb.value), gap=float(norm - lb.value), verdict=verdict,
+        tolerances={"norm_rtol": tol}, details=details,
     )
 
 

@@ -783,3 +783,87 @@ def test_gain_that_overflows_the_loop_is_invalid_input(route, tmp_path, capsys):
 def test_gain_of_the_wrong_shape_is_invalid_input(route, tmp_path, capsys):
     assert _two_state_verify(route, [[1.0, 0.0, 3.0]], tmp_path) == EXIT_INVARIANT
     assert "gain must be 1 x 2" in capsys.readouterr().err
+
+
+# M - N K overflows on both rational routes: the companion pencil (E singular)
+# in verify, and the grid (cond(E) = 1e9) in freqresp.
+RATIONAL_ROUTE_E = {"companion": ([[1.0, 0.0], [0.0, 0.0]], "verify"),
+                    "grid": ([[1.0, 0.0], [0.0, 1e-9]], "freqresp")}
+
+
+@pytest.mark.parametrize("route", RATIONAL_ROUTE_E)
+def test_gain_that_overflows_m_minus_nk_is_invalid_input(route, tmp_path):
+    E, cmd = RATIONAL_ROUTE_E[route]
+    model = write(tmp_path / "m.model", {"format": 1, "kind": "descriptor", "E": E,
+                                         "A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[10.0], [0.0]]})
+    gain = write(tmp_path / "k.json", {"K": [[1e308, 0.0]]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run([cmd, model, "--gain", gain])
+    assert [str(w.message) for w in caught] == []
+    assert (code, out) == (EXIT_INVARIANT, "")
+    assert err.startswith("hinfkit: invalid model: gain overflows")
+
+
+# Input files that are not JSON objects in UTF-8: every case is a schema error.
+def _bad_file_cases():
+    lag = json.dumps(MODELS["lag"]).encode()
+    return {
+        "model-bytes": (b"\xff" + lag, None, []),
+        "gain-bytes": (lag, b"\xff", ["verify", "--gain"]),
+        "weighted-bytes": (lag, b"\xff", ["synth", "--weighted"]),
+        "weighted-number": (lag, b"5", ["synth", "--weighted"]),
+        "format-string": (json.dumps({**MODELS["lag"], "format": "x"}).encode(), None, []),
+    }
+
+
+@pytest.mark.parametrize("case", _bad_file_cases())
+def test_unreadable_input_file_is_a_schema_error(case, tmp_path):
+    model_bytes, extra_bytes, argv = _bad_file_cases()[case]
+    model, extra = tmp_path / "m.model", tmp_path / "x.json"
+    model.write_bytes(model_bytes)
+    if extra_bytes is None:
+        argv = ["verify", str(model)]
+    else:
+        extra.write_bytes(extra_bytes)
+        argv = [argv[0], str(model), argv[1], str(extra)]
+    code, out, err = _run(argv)
+    assert (code, out) == (EXIT_SCHEMA, "")
+    assert err.startswith("hinfkit: schema error:")
+
+
+def _network_field_cases():
+    """Each network field and each param of the regression networks, set to each bad value."""
+    docs = {name: MODELS[name] for name in ("line_buffer", "buffer20", "rooms", "machines", "ring")}
+    docs["irrigation"] = IRRIGATION
+    bad = {"str": "x", "null": None, "object": {}, "nested": [[]], "negative": -1, "fraction": 2.5}
+    cases = {}
+    for name, doc in docs.items():
+        fields = [(f, None) for f in ("nodes", "edges", "params")] + [("params", p) for p in doc["params"]]
+        for field, param in fields:
+            for label, value in bad.items():
+                broken = json.loads(json.dumps(doc))
+                if param is None:
+                    broken[field] = value
+                else:
+                    broken["params"][param] = value
+                cases[f"{name}-{field if param is None else 'params.' + param}-{label}"] = broken
+    return cases
+
+
+NETWORK_FIELD_CASES = _network_field_cases()
+
+
+def test_malformed_network_fields_are_schema_or_model_errors(tmp_path, monkeypatch):
+    # A wrong JSON type is a schema error and a wrong value an invalid model; no case is internal.
+    monkeypatch.chdir(tmp_path)
+    assert len(NETWORK_FIELD_CASES) == 186  # 31 fields, 6 values each
+    codes, internal = {}, {}
+    for case, doc in NETWORK_FIELD_CASES.items():
+        codes[case], _, err = _run(["verify", write(Path("net.model"), doc)])
+        if codes[case] not in (0, 2, 3, 4, 5):
+            internal[case] = err
+    assert internal == {}
+    assert codes["line_buffer-nodes-str"] == codes["line_buffer-params-str"] == EXIT_SCHEMA
+    names = ("line_buffer", "buffer20", "rooms", "machines", "ring", "irrigation")
+    assert {codes[f"{name}-nodes-negative"] for name in names} == {EXIT_INVARIANT}

@@ -1,3 +1,4 @@
+import argparse
 import math
 
 import numpy as np
@@ -37,6 +38,8 @@ from hinfkit import (
     weighted_lower_bound,
     zero_peak_inequality,
 )
+import hinfkit.cli
+import hinfkit.verify
 from hinfkit.verify import CERT_RTOL
 from conftest import asym_chain, random_buffer
 
@@ -680,3 +683,70 @@ def test_level_set_sigma0_evaluates_no_plant(monkeypatch):
     cert = certify_optimality(plant.to_rational(), descriptor_gain(plant))
     assert cert.details["method"] == "state-space" and cert.verdict == "optimal"
     assert calls[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# The route table: one plant per route, from rcond(E) alone
+
+ROUTE_A, ROUTE_B = [[-1.0, 0.0], [0.0, -2.0]], [[1.0], [1.0]]
+# route: (E or None for the droop plant, method, pole test, close_loop calls)
+ROUTE_TABLE = {
+    "level-set": ([[1.0, 0.0], [0.0, 1e-7]], "state-space", "pencil_stability", 1),
+    "qz-grid": ([[1.0, 0.0], [0.0, 1e-9]], "grid", "pencil_stability", 0),
+    "companion-grid": ([[1.0, 0.0], [0.0, 0.0]], "grid", "rational_stability", 0),
+    "rational": (None, "grid", "rational_stability", 0),
+}
+
+
+def _route_case(route):
+    """(model as the CLI resolves it, its gain): the golden droop plant, or A, B with this E."""
+    E = ROUTE_TABLE[route][0]
+    if E is None:
+        form = hinfkit.cli._resolve(droop_plant(2.0, 0.5))
+        return form, form.gain(2.0)
+    form = hinfkit.cli._resolve(DescriptorPlant(E, ROUTE_A, ROUTE_B))
+    return form, form.gain(0.0)
+
+
+def _counted(monkeypatch, owner, name, counts):
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.mark.parametrize("route", ROUTE_TABLE)
+def test_route_table(route, monkeypatch, tmp_path):
+    _, method, pole_test, closes = ROUTE_TABLE[route]
+    form, gain = _route_case(route)
+    counts = {}
+    for name in ("pencil_stability", "rational_stability", "close_loop"):
+        _counted(monkeypatch, hinfkit.verify, name, counts)
+    cert = certify_optimality(form.plant, gain)
+    monkeypatch.undo()
+    assert cert.details["method"] == method and cert.stable
+    assert counts.get(pole_test) == 1 and sum(k.endswith("stability") for k in counts) == 1
+    assert counts.get("close_loop", 0) == closes
+    if ROUTE_TABLE[route][0] is not None:
+        # freqresp's row at w = 0 is sigma0 of the certificate, bit for bit.
+        out = tmp_path / "table.csv"
+        args = argparse.Namespace(gain=None, omega0=0.0, grid=np.array([0.0, 1.0]), out=str(out))
+        assert hinfkit.cli._cmd_freqresp(args, form) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert float(row[0]) == 0.0 and float(row[1]) == cert.details["omega0_sigma_max"]
+
+
+@pytest.mark.parametrize("route", ROUTE_TABLE)
+def test_one_route_and_one_sigma_evaluator_per_certificate(route, monkeypatch):
+    form, gain = _route_case(route)
+    counts = {}
+    _counted(monkeypatch, hinfkit.verify, "_route", counts)
+    _counted(monkeypatch, hinfkit.verify, "_grid_sigma", counts)
+    _counted(monkeypatch, hinfkit.verify._GramSigma, "__init__", counts)
+    cert = certify_optimality(form.plant, gain)
+    assert cert.stable
+    assert counts.get("_route") == 1
+    assert counts.get("_grid_sigma", 0) + counts.get("__init__", 0) == 1
