@@ -13,6 +13,7 @@ from .exceptions import (
     HinfkitError,
     HypothesisViolationError,
     InvalidInputError,
+    ModelError,
     NotRealGainError,
     NumericalError,
     PoleAtEvaluationError,

@@ -23,7 +23,7 @@ from .exceptions import (
     NumericalError,
     UnstabilizableError,
 )
-from .linalg import RANK_RTOL, rcond
+from .linalg import RANK_RTOL, _require_finite, rcond
 from .sysmodel import DescriptorPlant
 
 # Hamiltonian eigenvalues within this relative distance of the imaginary
@@ -56,8 +56,7 @@ class AreProblem:
         if self.C1.shape[1] != n:
             raise DimensionError("C1 must have as many columns as A")
         for name, m in (("A", self.A), ("B1", self.B1), ("B2", self.B2), ("C1", self.C1)):
-            if not np.all(np.isfinite(m)):
-                raise InvalidInputError(f"{name} contains NaN or Inf entries")
+            _require_finite(m, name)
         self._check_stabilizable()
 
     def _check_stabilizable(self):

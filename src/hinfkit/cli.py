@@ -23,13 +23,14 @@ evaluator from verify's one route function, as the certificate does;
 compare refuses a descriptor form with a singular E. Only synth takes
 --weighted. --tol (>= 0) and --omega0 must be finite, the grid bounds
 finite with 0 < --grid-min < --grid-max, and --points at least 2.
-Malformed generate lists (numbers, i-j edges, i-j:w weights) exit 2. Model,
-gain and weight files go through one reader: a file that is unreadable or
-not JSON, or a field of the wrong JSON type (network fields included),
-exits 2; generate builds its network once and writes what it validated.
+Malformed generate lists (numbers, i-j edges, i-j:w weights) exit 2, as does a
+model, gain or weight file that is unreadable, not JSON, or has a field of the
+wrong type: one JSON type test (``_is``) reads a number as a JSON int or float,
+never a bool or a string, and format, nodes and edge endpoints as integers.
+generate builds its network once and writes what it validated.
 
-Exit codes: 0 ok/optimal, 2 schema violation, 3 model invariant violation,
-4 certified suboptimal, 5 unstable, 7 internal error.
+Exit codes: 0 ok/optimal, 2 schema violation (SchemaError), 3 invalid model
+(any ModelError), 4 certified suboptimal, 5 unstable, 7 internal error.
 """
 
 from __future__ import annotations
@@ -48,17 +49,11 @@ import numpy as np
 
 from . import __version__, freqgrid, netgen, synth, verify
 from .exceptions import (
-    DimensionError,
     HinfkitError,
-    HypothesisViolationError,
     InvalidInputError,
-    NotRealGainError,
-    PoleAtEvaluationError,
-    PoleOnAxisError,
+    ModelError,
     SchemaError,
     SingularMatrixError,
-    StandingAssumptionError,
-    UnstabilizableError,
 )
 from .baseline import AreProblem, gamma_bisect
 from .netgen import NetworkModel
@@ -71,47 +66,63 @@ EXIT_SUBOPTIMAL = 4
 EXIT_UNSTABLE = 5
 EXIT_INTERNAL = 7
 
-_INVARIANT_ERRORS = (
-    InvalidInputError,
-    HypothesisViolationError,
-    SingularMatrixError,
-    StandingAssumptionError,
-    DimensionError,
-    NotRealGainError,
-    UnstabilizableError,
-    PoleAtEvaluationError,
-    PoleOnAxisError,
-)
-
 
 # ---------------------------------------------------------------------------
 # model loading
 
 
-def _matrix(doc, key, where):
+# The JSON type, as _is reads it, of each network field and param that has one.
+_NETWORK_TYPES = {"nodes": int, "edges": [(int, int)]}
+_PARAM_TYPES = dict.fromkeys(("a", "alpha", "beta", "tau", "masses", "leak", "row"), [float])
+_PARAM_TYPES |= dict.fromkeys(("heat_capacity", "outdoor", "mass", "damping"), float)
+_PARAM_TYPES |= dict.fromkeys(("conduction", "edges"), [(int, int, float)])
+_PARAM_TYPES["laplacian"] = [[float]]
+
+
+def _is(x, t):
+    """Whether the JSON value x has the type t: the one type test of every input field.
+
+    float is a number (a JSON int or float, never a bool or a string), int an integer,
+    [t] an array of t, and a tuple an array of one value per type.
+    """
+    if isinstance(t, type):
+        return type(x) in (int, t)
+    if type(x) is not list:
+        return False
+    if isinstance(t, tuple):
+        return len(x) == len(t) and all(map(_is, x, t))
+    if isinstance(t[0], type):  # numbers: all entry types at once
+        return set(map(type, x)) <= {int, t[0]}
+    return all(_is(v, t[0]) for v in x)
+
+
+def _typed(doc, types, where=""):
+    """Refuse the first field named in ``types`` that doc holds with another JSON type."""
+    for key, t in types.items():
+        if key in doc and not _is(doc[key], t):
+            raise SchemaError(f"field '{where}{key}' has the wrong JSON type", field=where + key)
+
+
+def _matrix(doc, key):
     if key not in doc:
-        raise SchemaError(f"missing required field '{where}{key}'", field=where + key)
+        raise SchemaError(f"missing required field '{key}'", field=key)
     try:
         m = np.array(doc[key], dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError(f"field '{where}{key}' is not a numeric matrix", field=where + key)
+    except (TypeError, ValueError, OverflowError):
+        m = None
+    if m is None or m.ndim == 2 and not _is(doc[key], [[float]]):  # numpy reads "1", true, null
+        raise SchemaError(f"field '{key}' is not a numeric matrix", field=key)
     if m.ndim != 2:
-        raise SchemaError(f"field '{where}{key}' must be a 2-d array", field=where + key)
+        raise SchemaError(f"field '{key}' must be a 2-d array", field=key)
     return m
 
 
 def _poly_entry(raw, where):
-    if isinstance(raw, dict):
-        num = raw.get("num")
-        den = raw.get("den", [1.0])
-    else:
-        num, den = raw, [1.0]
-    try:
-        num = [float(x) for x in num]
-        den = [float(x) for x in den]
-    except (TypeError, ValueError):
-        raise SchemaError(f"entry '{where}' must hold numeric coefficient arrays", field=where)
-    return num, den
+    num, den = (raw.get("num"), raw.get("den", [1.0])) if isinstance(raw, dict) else (raw, [1.0])
+    with contextlib.suppress(OverflowError):  # an integer beyond the float range
+        if _is(num, [float]) and _is(den, [float]):
+            return [float(x) for x in num], [float(x) for x in den]
+    raise SchemaError(f"entry '{where}' must hold numeric coefficient arrays", field=where)
 
 
 def _rational_matrix(doc, key):
@@ -155,28 +166,17 @@ def _read_json(path, what, bare=None):
     return doc, raw
 
 
-@contextlib.contextmanager
-def _network_fields():
-    """Building and compiling a network: a field of the wrong JSON type is a schema error."""
-    try:
-        yield
-    except HinfkitError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed network model: {exc}") from None
-
-
 def _parse(path):
     """The model a file describes and the sha256 of its bytes; networks validate on compiling."""
     doc, raw = _read_json(path, "model")
     digest = hashlib.sha256(raw).hexdigest()
-    if doc.get("format", 1) != 1:
+    if not _is(doc.get("format", 1), int) or doc.get("format", 1) != 1:
         raise SchemaError(f"unsupported format version {doc.get('format')}", field="format")
     kind = doc.get("kind")
     if kind == "descriptor":
-        A = _matrix(doc, "A", "")
-        B = _matrix(doc, "B", "")
-        E = _matrix(doc, "E", "") if "E" in doc else np.eye(A.shape[0])
+        A = _matrix(doc, "A")
+        B = _matrix(doc, "B")
+        E = _matrix(doc, "E") if "E" in doc else np.eye(A.shape[0])
         return DescriptorPlant(E, A, B), digest
     if kind == "rational":
         plant = RationalPlant(_rational_matrix(doc, "M"), _rational_matrix(doc, "N"))
@@ -186,11 +186,10 @@ def _parse(path):
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise SchemaError("field 'params' must be an object", field="params")
-        with _network_fields():
-            net = NetworkModel(
-                doc.get("network_kind", ""), doc.get("nodes", 0), doc.get("edges", []), params
-            )
-        return net, digest
+        _typed(doc, _NETWORK_TYPES)
+        _typed(params, _PARAM_TYPES, "params.")
+        fields = doc.get("network_kind", ""), doc.get("nodes", 0), doc.get("edges", [])
+        return NetworkModel(*fields, params), digest
     raise SchemaError(f"unknown model kind {kind!r}", field="kind")
 
 
@@ -212,7 +211,7 @@ def _resolve(model, unit_h=False) -> _Form:
     if isinstance(model, DescriptorPlant):
         return _Form("descriptor", model.to_rational(), lambda _: synth.descriptor_gain(model))
     kind = f"network/{model.kind}"
-    with _network_fields():
+    try:
         if model.kind == "machine":
             m, d, L = netgen.compile_machine(model)
             return _Form(kind, None, lambda _: synth.machine_modal_gains(m, d, L))
@@ -223,11 +222,15 @@ def _resolve(model, unit_h=False) -> _Form:
             desc, H = netgen.compile_irrigation(model, unit_h=unit_h)
             return _Form(kind, desc.to_rational(), lambda _: synth.descriptor_gain(desc), H.tolist())
         desc = netgen.compile_network(model)
+    except HinfkitError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:  # numpy refused a value: a ragged array
+        raise SchemaError(f"malformed network model: {exc}") from None
     return _Form(kind, desc.to_rational(), lambda _: synth.descriptor_gain(desc))
 
 
 def _load_gain(path, omega0) -> Gain:
-    return Gain(_matrix(_read_json(path, "gain", bare="K")[0], "K", ""), omega0, "external")
+    return Gain(_matrix(_read_json(path, "gain", bare="K")[0], "K"), omega0, "external")
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +339,7 @@ def _cmd_synth(args, form):
     if args.weighted:
         if form.plant is None:
             raise InvalidInputError("weighted synthesis is not defined for machine networks")
-        Q = _matrix(_read_json(args.weighted, "weight")[0], "Q", "")
+        Q = _matrix(_read_json(args.weighted, "weight")[0], "Q")
         gain = synth.weighted_gain(form.plant, Q, args.omega0)
     report = _report(form, gain=_gain_report(gain))
     if form.disturbance_map is not None:
@@ -634,7 +637,7 @@ def main(argv=None) -> int:
         field = f" (field: {exc.field})" if exc.field else ""
         print(f"hinfkit: schema error: {exc}{field}", file=sys.stderr)
         return EXIT_SCHEMA
-    except _INVARIANT_ERRORS as exc:
+    except ModelError as exc:
         print(f"hinfkit: invalid model: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except HinfkitError as exc:

@@ -1,19 +1,24 @@
-"""Exception hierarchy shared by all hinfkit modules."""
+"""Exception hierarchy shared by all hinfkit modules: the CLI exits 2 on a SchemaError,
+3 on a ModelError (a model or gain that breaks a hypothesis) and 7 on any other error."""
 
 
 class HinfkitError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidInputError(HinfkitError, ValueError):
+class ModelError(HinfkitError):
+    """A model or gain that breaks a hypothesis of a construction or a check."""
+
+
+class InvalidInputError(ModelError, ValueError):
     """Non-finite entries, nonpositive rates, or otherwise unusable data."""
 
 
-class DimensionError(HinfkitError, ValueError):
+class DimensionError(ModelError, ValueError):
     """Matrix or vector shapes are inconsistent with the operation."""
 
 
-class SingularMatrixError(HinfkitError):
+class SingularMatrixError(ModelError):
     """A matrix required to be invertible is singular or numerically near-singular.
 
     Carries ``rcond``, a reciprocal condition estimate, when one is available.
@@ -24,23 +29,23 @@ class SingularMatrixError(HinfkitError):
         self.rcond = rcond
 
 
-class PoleAtEvaluationError(HinfkitError, ZeroDivisionError):
+class PoleAtEvaluationError(ModelError, ZeroDivisionError):
     """A rational function was evaluated at one of its poles."""
 
 
-class PoleOnAxisError(HinfkitError):
+class PoleOnAxisError(ModelError):
     """The closed loop is singular at an evaluation frequency (gain not stabilizing)."""
 
 
-class NotRealGainError(HinfkitError):
+class NotRealGainError(ModelError):
     """The constructed feedback matrix has a non-negligible imaginary part."""
 
 
-class HypothesisViolationError(HinfkitError, ValueError):
+class HypothesisViolationError(ModelError, ValueError):
     """Structural hypotheses of a construction (symmetry, definiteness, rank) fail."""
 
 
-class StandingAssumptionError(HinfkitError):
+class StandingAssumptionError(ModelError):
     """A plant violates a standing well-posedness assumption on the frequency grid."""
 
 
@@ -48,7 +53,7 @@ class UnstableSystemError(HinfkitError):
     """An operation that requires a stable system received an unstable one."""
 
 
-class UnstabilizableError(HinfkitError):
+class UnstabilizableError(ModelError):
     """No finite feasible attenuation level exists for the synthesis problem."""
 
 

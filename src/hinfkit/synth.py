@@ -84,11 +84,7 @@ def weighted_gain(plant: RationalPlant, weight, omega0: float = 0.0) -> Gain:
     w = weight if isinstance(weight, WeightedObjective) else WeightedObjective(weight)
     if w.Q.shape[1] != plant.k:
         raise DimensionError(f"Q must have {plant.k} columns, got {w.Q.shape}")
-    Mw = plant.eval_M(omega0)
-    Nw = plant.eval_N(omega0)
-    K, _ = closed_form_matrix_gain(Mw, Nw)
-    K = _realize(K, "weighted gain") @ (w.Q.T @ w.Q)
-    return Gain(K, omega0, "weighted")
+    return Gain(closed_form_gain(plant, omega0).K @ (w.Q.T @ w.Q), omega0, "weighted")
 
 
 def buffer_law(net: NetworkModel) -> Gain:

@@ -56,8 +56,7 @@ class DescriptorPlant:
         if self.B.shape[0] != n:
             raise DimensionError(f"B must have {n} rows, got {self.B.shape}")
         for name, m in (("E", self.E), ("A", self.A), ("B", self.B)):
-            if not np.all(np.isfinite(m)):
-                raise InvalidInputError(f"{name} contains NaN or Inf entries")
+            linalg._require_finite(m, name)
         rc = linalg.rcond(self.A)
         if rc <= linalg.RANK_RTOL:
             raise SingularMatrixError(
@@ -216,8 +215,7 @@ class WeightedObjective:
 
     def __post_init__(self):
         self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        if not np.all(np.isfinite(self.Q)):
-            raise InvalidInputError("Q contains NaN or Inf entries")
+        linalg._require_finite(self.Q, "Q")
         q, k = self.Q.shape
         if q > k:
             raise HypothesisViolationError(f"Q has more rows than columns ({q} > {k})")
@@ -281,8 +279,7 @@ class Gain:
 
     def __post_init__(self):
         self.K = np.atleast_2d(np.asarray(self.K, dtype=float))
-        if not np.all(np.isfinite(self.K)):
-            raise InvalidInputError("gain matrix contains NaN or Inf entries")
+        linalg._require_finite(self.K, "gain matrix")
         self.omega0 = float(self.omega0)
 
 

@@ -163,8 +163,7 @@ def _grid_sigma(plant: RationalPlant, gain: Gain) -> Callable:
     def values(w):
         T = eval_closed_rational(plant, gain, w)
         kept = ~np.isnan(T[..., 0, 0])
-        if not np.isfinite(T[kept]).all():
-            raise InvalidInputError("spectral_norm input contains NaN or Inf entries")
+        linalg._require_finite(T[kept], "spectral_norm input")
         out = np.full(T.shape[:-2], np.nan)
         out[kept] = np.linalg.svd(T[kept], compute_uv=False)[:, 0]
         return out

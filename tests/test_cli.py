@@ -27,7 +27,7 @@ from hinfkit.cli import (
     load_model,
     main,
 )
-from hinfkit import DescriptorPlant, NetworkModel, RationalPlant, SchemaError, cli
+from hinfkit import DescriptorPlant, HinfkitError, NetworkModel, RationalPlant, SchemaError, cli
 from conftest import random_buffer
 from test_golden import MODELS
 from test_verify import SLOW_POLE_K, SLOW_POLE_M, SLOW_POLE_N, slow_pole_norm_at_zero
@@ -867,3 +867,138 @@ def test_malformed_network_fields_are_schema_or_model_errors(tmp_path, monkeypat
     assert codes["line_buffer-nodes-str"] == codes["line_buffer-params-str"] == EXIT_SCHEMA
     names = ("line_buffer", "buffer20", "rooms", "machines", "ring", "irrigation")
     assert {codes[f"{name}-nodes-negative"] for name in names} == {EXIT_INVARIANT}
+
+
+# Exit code and stderr prefix of every HinfkitError class raised inside a command.
+EXIT_BY_ERROR = {
+    "HinfkitError": (7, "internal error"),
+    "ModelError": (EXIT_INVARIANT, "invalid model"),
+    "InvalidInputError": (EXIT_INVARIANT, "invalid model"),
+    "HypothesisViolationError": (EXIT_INVARIANT, "invalid model"),
+    "SingularMatrixError": (EXIT_INVARIANT, "invalid model"),
+    "StandingAssumptionError": (EXIT_INVARIANT, "invalid model"),
+    "DimensionError": (EXIT_INVARIANT, "invalid model"),
+    "NotRealGainError": (EXIT_INVARIANT, "invalid model"),
+    "UnstabilizableError": (EXIT_INVARIANT, "invalid model"),
+    "PoleAtEvaluationError": (EXIT_INVARIANT, "invalid model"),
+    "PoleOnAxisError": (EXIT_INVARIANT, "invalid model"),
+    "SchemaError": (EXIT_SCHEMA, "schema error"),
+    "NumericalError": (7, "internal error"),
+    "UnstableSystemError": (7, "internal error"),
+}
+
+
+def _error_classes(cls=HinfkitError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+def test_every_error_class_has_its_exit_code(lag_model, monkeypatch):
+    classes = {cls.__name__: cls for cls in _error_classes()}
+    assert set(classes) <= set(EXIT_BY_ERROR), "list each new error class in EXIT_BY_ERROR"
+    assert len(classes) >= 13  # the base class and at least its twelve named subclasses
+    for name, cls in classes.items():
+        def fail(*args, cls=cls, **kwargs):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli.verify, "certify_optimality", fail)
+        code, prefix = EXIT_BY_ERROR[name]
+        assert _run(["verify", lag_model]) == (code, "", f"hinfkit: {prefix}: boom\n"), name
+
+
+def _refusal_cases():
+    rational = {"format": 1, "kind": "rational", "M": [[[1.0, 1.0]]], "N": [[[1.0]]]}
+    machines = MODELS["machines"]
+    return {
+        "machine-weighted": (machines, ["synth", "--weighted", {"Q": [[1.0]]}], EXIT_INVARIANT,
+                             "invalid model: weighted synthesis is not defined for machine networks"),
+        "machine-gain": (machines, ["verify", "--gain", {"K": [[1.0]]}], EXIT_INVARIANT,
+                         "invalid model: machine networks certify their own modal law only"),
+        "kind": ({"format": 1, "kind": "foo"}, ["verify"], EXIT_SCHEMA,
+                 "schema error: unknown model kind 'foo' (field: kind)"),
+        "A-object": ({**MODELS["lag"], "A": [[{}]]}, ["verify"], EXIT_SCHEMA,
+                     "schema error: field 'A' is not a numeric matrix (field: A)"),
+        "A-vector": ({**MODELS["lag"], "A": [-1.0]}, ["verify"], EXIT_SCHEMA,
+                     "schema error: field 'A' must be a 2-d array (field: A)"),
+        "no-N": ({"format": 1, "kind": "rational", "M": [[[1.0, 1.0]]]}, ["verify"], EXIT_SCHEMA,
+                 "schema error: missing required field 'N' (field: N)"),
+        "M-empty": ({**rational, "M": []}, ["verify"], EXIT_SCHEMA,
+                    "schema error: field 'M' must be a nonempty array of rows (field: M)"),
+        "num-null": ({**rational, "M": [[{"num": None}]]}, ["verify"], EXIT_SCHEMA,
+                     "schema error: entry 'M[0][0]' must hold numeric coefficient arrays (field: M[0][0])"),
+        "no-pools": ({**IRRIGATION, "nodes": 0}, ["verify"], EXIT_INVARIANT,
+                     "invalid model: irrigation cascade needs at least one pool"),
+    }
+
+
+def _run_case(doc, argv):
+    """Run command argv[0] on a model file holding doc, with options argv[1:]; a dict is a file."""
+    files = [write(Path(f"file{i}.json"), a) if isinstance(a, dict) else a for i, a in enumerate(argv)]
+    return _run([files[0], write(Path("case.model"), doc), *files[1:]])
+
+
+@pytest.mark.parametrize("case", _refusal_cases())
+def test_refusal_paths(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    doc, argv, code, message = _refusal_cases()[case]
+    assert _run_case(doc, argv) == (code, "", f"hinfkit: {message}\n")
+
+
+def _wrong_type_cases():
+    lag, buffer, rooms, machines = (MODELS[k] for k in ("lag", "line_buffer", "rooms", "machines"))
+    rational = {"format": 1, "kind": "rational", "N": [[[1.0]]]}
+    big = 10**400
+    cases = {
+        "A-string": ({**lag, "A": [["-1"]]}, ["verify"], "A"),
+        "B-bool": ({**lag, "B": [[True]]}, ["verify"], "B"),
+        "A-null": ({**lag, "A": [[None]]}, ["verify"], "A"),
+        "A-huge": ({**lag, "A": [[-big]]}, ["verify"], "A"),
+        "K-string": (lag, ["verify", "--gain", {"K": [["1"]]}], "K"),
+        "Q-bool": (lag, ["synth", "--weighted", {"Q": [[True]]}], "Q"),
+        "num-string": ({**rational, "M": [[{"num": "12", "den": [1]}]]}, ["synth"], "M[0][0]"),
+        "coefficient-bool": ({**rational, "M": [[[True, 1]]]}, ["verify"], "M[0][0]"),
+        "coefficient-huge": ({**rational, "M": [[[big, 1]]]}, ["verify"], "M[0][0]"),
+        "format-bool": ({**lag, "format": True}, ["verify"], "format"),
+        "nodes-bool": ({**buffer, "nodes": True}, ["verify"], "nodes"),
+        "edge-fraction": ({**buffer, "edges": [[0.5, 1], [1, 2]]}, ["verify"], "edges"),
+        "rates-strings": ({**buffer, "params": {"a": ["1", "2", "3"]}}, ["verify"], "params.a"),
+        "rate-huge": ({**buffer, "params": {"a": [big, 2, 3]}}, ["verify"], None),
+        "conduction-fraction": (
+            {**rooms, "params": {**rooms["params"], "conduction": [[0.0, 1, 1.0]]}}, ["verify"],
+            "params.conduction",
+        ),
+        "machine-edge-fraction": (
+            {**machines, "params": {**machines["params"], "edges": [[0, 1.5, 1.0], [1, 2, 1.0]]}},
+            ["verify"], "params.edges",
+        ),
+    }
+    for case in WRONG_TYPE_SWEEP_CASES:
+        cases[case] = (NETWORK_FIELD_CASES[case], ["verify"], case.split("-")[1])
+    return cases
+
+
+# The sweep cases above that set a field to a JSON value of the wrong type and that
+# the CLI once read as a valid model.
+WRONG_TYPE_SWEEP_CASES = (
+    "line_buffer-edges-object", "buffer20-edges-object", "rooms-nodes-fraction", "rooms-edges-object",
+    "rooms-params.conduction-object", "machines-edges-object", "machines-params.edges-object",
+    "ring-nodes-fraction", "ring-edges-object", "irrigation-nodes-fraction", "irrigation-edges-object",
+)
+
+
+@pytest.mark.parametrize("case", _wrong_type_cases())
+def test_json_value_of_the_wrong_type_is_a_schema_error(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    doc, argv, field = _wrong_type_cases()[case]
+    code, out, err = _run_case(doc, argv)
+    assert (code, out) == (EXIT_SCHEMA, "")
+    assert err.startswith("hinfkit: schema error: ")
+    assert field is None or err.endswith(f" (field: {field})\n")
+
+
+@pytest.mark.parametrize("case", ["rooms-params.heat_capacity-fraction", "machines-params.mass-fraction",
+                                  "machines-params.damping-fraction"])
+def test_sweep_values_of_the_right_type_still_verify(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run_case(NETWORK_FIELD_CASES[case], ["verify"])[0] == EXIT_OK
