@@ -27,6 +27,7 @@ Malformed generate lists (numbers, i-j edges, i-j:w weights) exit 2, as does a
 model, gain or weight file that is unreadable, not JSON, or has a field of the
 wrong type: one JSON type test (``_is``) reads a number as a JSON int or float,
 never a bool or a string, and format, nodes and edge endpoints as integers.
+An unknown or missing kind or network_kind exits 2, naming the field.
 generate builds its network once and writes what it validated.
 
 Exit codes: 0 ok/optimal, 2 schema violation (SchemaError), 3 invalid model
@@ -183,13 +184,18 @@ def _parse(path):
         plant.check_standing_assumptions()
         return plant, digest
     if kind == "network":
+        network_kind = doc.get("network_kind")
+        if network_kind not in netgen.NETWORK_KINDS:
+            raise SchemaError(
+                f"unknown network kind {network_kind!r}; expected one of {netgen.NETWORK_KINDS}",
+                field="network_kind",
+            )
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise SchemaError("field 'params' must be an object", field="params")
         _typed(doc, _NETWORK_TYPES)
         _typed(params, _PARAM_TYPES, "params.")
-        fields = doc.get("network_kind", ""), doc.get("nodes", 0), doc.get("edges", [])
-        return NetworkModel(*fields, params), digest
+        return NetworkModel(network_kind, doc.get("nodes", 0), doc.get("edges", []), params), digest
     raise SchemaError(f"unknown model kind {kind!r}", field="kind")
 
 

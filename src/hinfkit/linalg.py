@@ -2,7 +2,9 @@
 
 All matrix inputs are coerced with ``np.asarray``; complex entries are
 allowed everywhere. Operations are pure functions on their arguments and are
-safe to call concurrently.
+safe to call concurrently. scipy is imported only where QZ runs, inside
+``generalized_eigenvalues`` when cond(e) >= REDUCTION_COND_MAX, so importing
+this module does not load it.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     DimensionError,
@@ -101,6 +102,7 @@ def generalized_eigenvalues(a, e) -> np.ndarray:
         )
     if rc > 1.0 / REDUCTION_COND_MAX:
         return np.linalg.eigvals(np.linalg.solve(ee, aa))
+    import scipy.linalg
     return scipy.linalg.eigvals(aa, ee)
 
 

@@ -14,6 +14,9 @@ sigma_max(T(jw)) evaluator, read by the norm, by sigma_max at the sampled
 frequency and by the CLI's frequency table. On the level-set route the loop
 is closed once; the pole test and the norm's Hurwitz check read its one
 spectrum. Every frequency sweep evaluates its grid in stacked batches.
+scipy is imported only at the QZ call sites (``rational_stability`` and the
+denominator clearing it uses, and ``linalg.generalized_eigenvalues`` when
+cond(E) >= 1e8): buffer, irrigation and thermal commands never load it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import freqgrid, linalg
 from .exceptions import (
@@ -336,6 +338,7 @@ def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _cleared(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Columns num_j times the product of the distinct den columns other than den_j."""
+    import scipy.linalg
     distinct, which = np.unique(den.T, axis=0, return_inverse=True)
     which = which.ravel()
     polys = [linalg.trimmed_coefficients(d) for d in distinct]
@@ -379,6 +382,7 @@ def rational_stability(plant: RationalPlant, gain: Gain) -> StabilityResult:
     A[-k:] = -np.concatenate(C[:-1], axis=1)
     B = np.eye(d * k)
     B[-k:, -k:] = C[-1]
+    import scipy.linalg
     alpha, beta = scipy.linalg.eigvals(A, B, homogeneous_eigvals=True)
     a, b = np.abs(alpha), np.abs(beta)
     if np.any((a <= RANK_RTOL * np.linalg.norm(A)) & (b <= RANK_RTOL * np.linalg.norm(B))):

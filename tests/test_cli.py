@@ -27,7 +27,9 @@ from hinfkit.cli import (
     load_model,
     main,
 )
-from hinfkit import DescriptorPlant, HinfkitError, NetworkModel, RationalPlant, SchemaError, cli
+from hinfkit import (DescriptorPlant, HinfkitError, InvalidInputError, NetworkModel, RationalPlant,
+                     SchemaError, cli)
+from hinfkit.netgen import NETWORK_KINDS
 from conftest import random_buffer
 from test_golden import MODELS
 from test_verify import SLOW_POLE_K, SLOW_POLE_M, SLOW_POLE_N, slow_pole_norm_at_zero
@@ -756,6 +758,39 @@ def test_module_entry_point_matches_golden(tmp_path):
     assert run.stdout == (Path(__file__).parent / "golden" / "lag.verify.out").read_bytes()
 
 
+# Runs each argv of a JSON list through cli.main and prints, after the import and after each
+# command, [step, exit code, whether any scipy module is loaded].
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+loaded = lambda: any(name.split(".")[0] == "scipy" for name in sys.modules)
+import hinfkit, hinfkit.cli
+steps = [["import", 0, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        steps.append([argv[0], hinfkit.cli.main(argv), loaded()])
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_loads_only_where_qz_runs(tmp_path):
+    # scipy.linalg is most of a cold start, so only QZ call sites import it: buffer, irrigation
+    # and thermal verifies, the Riccati baseline and the droop plant's sweeps never load it, and
+    # the droop verify (its pole test is QZ) does. A fresh interpreter, as this one has scipy.
+    docs = {"buffer": MODELS["line_buffer"], "irrigation": IRRIGATION, "thermal": MODELS["rooms"],
+            "droop": MODELS["droop"]}
+    paths = {name: write(tmp_path / f"{name}.model", doc) for name, doc in docs.items()}
+    runs = [("verify", "buffer"), ("verify", "irrigation"), ("verify", "thermal"), ("compare", "buffer"),
+            ("freqresp", "droop"), ("lower-bound", "droop"), ("synth", "droop"), ("verify", "droop")]
+    argvs = [[cmd, paths[name], *(["--omega0", "2"] if name == "droop" else [])] for cmd, name in runs]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
+                         cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert run.returncode == 0, run.stderr.decode()
+    steps = [tuple(step) for step in json.loads(run.stdout)]
+    expected = [("import", EXIT_OK, False)] + [(cmd, EXIT_OK, False) for cmd, _ in runs[:-1]]
+    assert steps == expected + [("verify", EXIT_OK, True)]
+
+
 
 # A = diag(-1, -2), B = [10; 0]: K = [1e308, 0] makes B K overflow. With cond(E) = 1e9
 # the pencil takes QZ and the norm the grid; with E = I, the reduction and level sets.
@@ -1002,3 +1037,20 @@ def test_json_value_of_the_wrong_type_is_a_schema_error(case, tmp_path, monkeypa
 def test_sweep_values_of_the_right_type_still_verify(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _run_case(NETWORK_FIELD_CASES[case], ["verify"])[0] == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "network_kind", [5, None, ["buffer"], {"x": 1}, "pipe", "missing"],
+    ids=["number", "null", "array", "object", "unknown", "missing"])
+def test_unknown_network_kind_is_a_schema_error(network_kind, tmp_path, monkeypatch):
+    # A network_kind outside NETWORK_KINDS is refused as the unknown kind is, naming the field.
+    monkeypatch.chdir(tmp_path)
+    doc = {**MODELS["line_buffer"], "network_kind": network_kind}
+    if network_kind == "missing":
+        del doc["network_kind"]
+        network_kind = None
+    message = (f"schema error: unknown network kind {network_kind!r}; "
+               f"expected one of {NETWORK_KINDS} (field: network_kind)")
+    assert _run_case(doc, ["verify"]) == (EXIT_SCHEMA, "", f"hinfkit: {message}\n")
+    with pytest.raises(InvalidInputError, match="unknown network kind"):  # library callers
+        NetworkModel(network_kind, 3)

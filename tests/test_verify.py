@@ -750,3 +750,17 @@ def test_one_route_and_one_sigma_evaluator_per_certificate(route, monkeypatch):
     assert cert.stable
     assert counts.get("_route") == 1
     assert counts.get("_grid_sigma", 0) + counts.get("__init__", 0) == 1
+
+
+def test_qz_calls_read_scipy_eigvals_at_call_time(monkeypatch):
+    # scipy is imported inside the QZ functions, so a patch of scipy.linalg.eigvals counts there.
+    form, gain = _route_case("qz-grid")
+    unpatched = certify_optimality(form.plant, gain)
+    counts = {}
+    _counted(monkeypatch, scipy.linalg, "eigvals", counts)
+    poles = hinfkit.linalg.generalized_eigenvalues(-np.eye(2), np.diag([1.0, 1e-9]))
+    assert counts == {"eigvals": 1}
+    assert sorted(poles.real) == pytest.approx([-1e9, -1.0], rel=1e-12)
+    cert = certify_optimality(form.plant, gain)
+    assert counts == {"eigvals": 2}  # one more, from the pole test on the pencil
+    assert cert.details["method"] == "grid" and cert.hinf_norm == unpatched.hinf_norm
