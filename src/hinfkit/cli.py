@@ -53,6 +53,7 @@ from .exceptions import (
     HinfkitError,
     InvalidInputError,
     ModelError,
+    NumericalError,
     SchemaError,
     SingularMatrixError,
 )
@@ -447,6 +448,8 @@ def _cmd_freqresp(args, form):
         raise InvalidInputError("freqresp requires a model with a single plant form")
     _, _, smax = verify._route(form.plant, gain)
     rows = [(float(w), float(v)) for w, v in zip(args.grid, smax(args.grid)) if not math.isnan(v)]
+    if not rows:
+        raise NumericalError("every grid point was skipped; nothing to maximize")
     vmax = max(v for _, v in rows)
     lines = ["omega,sigma_max,is_peak"]
     marked = False

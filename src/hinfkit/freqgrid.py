@@ -4,10 +4,10 @@ All sweeps are one-sided (omega >= 0): every plant handled here has real
 data, so responses are even in omega. A sweep evaluates the whole grid in
 one batched call, which stacks the per-frequency matrices and hands them to
 numpy's stacked eigvalsh, solve and svd; golden-section refinement then
-evaluates one frequency at a time. A batched evaluator splits large plants
+evaluates one frequency at a time around the eight highest local maxima of
+the grid, whatever their value. A batched evaluator splits large plants
 into chunks whose stacks stay under STACK_BYTES. The reduction (max by
-value, then min by frequency) is deterministic regardless of evaluation
-order.
+value, then min by frequency) does not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -118,9 +118,10 @@ def adaptive_max(f, grid=None, batched: bool = False) -> PeakResult:
     skipped sample (an entry pole of a rational plant). Otherwise ``f`` maps
     one frequency to one value and may raise PoleAtEvaluationError at
     isolated frequencies, which skips them. Any other exception propagates.
-    Local maxima of the grid within 0.1% of the grid-wide best are each
-    refined by golden-section search, one frequency per call, until the
-    surrounding bracket is narrower than ``PEAK_WINDOW_RTOL * (1 + omega)``.
+    The eight highest local maxima of the grid, whatever their value (ties
+    in grid order), are each refined by golden-section search, one
+    frequency per call, until the surrounding bracket is narrower than
+    ``PEAK_WINDOW_RTOL * (1 + omega)``.
     """
     g = f if batched else _pointwise(f)
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
@@ -131,27 +132,20 @@ def adaptive_max(f, grid=None, batched: bool = False) -> PeakResult:
     if not omegas.size:
         raise NumericalError("every grid point was skipped; nothing to maximize")
 
-    vmax = float(values.max())
-    n = len(omegas)
     left = np.concatenate(([-np.inf], values[:-1]))
     right = np.concatenate((values[1:], [-np.inf]))
     local = np.flatnonzero((values >= left) & (values >= right))
-    threshold = vmax - 1e-3 * (abs(vmax) + 1e-300)
-    candidates = [int(i) for i in local if values[i] >= threshold]
-    candidates.sort(key=lambda i: -values[i])
-    candidates = candidates[:8]
+    candidates = sorted(local.tolist(), key=lambda i: -values[i])[:8]
 
     def safe(x):
         v = float(g(np.array([x]))[0])
         return -np.inf if math.isnan(v) else v
 
-    best_value = vmax
+    best_value = float(values.max())
     refined = []  # (omega, value)
     for i in candidates:
-        a = omegas[i - 1] if i > 0 else omegas[i]
-        b = omegas[i + 1] if i < n - 1 else omegas[i]
-        if b <= a:
-            refined.append((omegas[i], values[i]))
+        a, b = omegas[max(i - 1, 0)], omegas[min(i + 1, len(omegas) - 1)]
+        if b <= a:  # no bracket: the sample itself already contends
             continue
         v, mid = _golden_max(safe, a, b)
         v = max(v, values[i])

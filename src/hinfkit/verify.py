@@ -332,8 +332,10 @@ def weighted_lower_bound(plant: RationalPlant, weight, grid=None) -> BoundResult
 
 def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coefficient tensors side by side, padded to a common degree."""
-    n = max(len(a), len(b))
-    return np.concatenate([np.pad(t, ((0, n - len(t)), (0, 0), (0, 0))) for t in (a, b)], axis=2)
+    out = np.zeros((max(len(a), len(b)), a.shape[1], a.shape[2] + b.shape[2]))
+    out[: len(a), :, : a.shape[2]] = a
+    out[: len(b), :, a.shape[2] :] = b
+    return out
 
 
 def _cleared(num: np.ndarray, den: np.ndarray) -> np.ndarray:

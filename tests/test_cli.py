@@ -1054,3 +1054,18 @@ def test_unknown_network_kind_is_a_schema_error(network_kind, tmp_path, monkeypa
     assert _run_case(doc, ["verify"]) == (EXIT_SCHEMA, "", f"hinfkit: {message}\n")
     with pytest.raises(InvalidInputError, match="unknown network kind"):  # library callers
         NetworkModel(network_kind, 3)
+
+
+# M = (1 + s) / (s (s^2 + 1) (s^2 + 4)) has entry poles at w = 0, 1 and 2, so a
+# grid of just those frequencies leaves no usable sample.
+ENTRY_POLE_MODEL = {"format": 1, "kind": "rational", "N": [[[1.0]]],
+                    "M": [[{"num": [1.0, 1.0], "den": [0.0, 4.0, 0.0, 5.0, 0.0, 1.0]}]]}
+
+
+@pytest.mark.parametrize("cmd", ["freqresp", "lower-bound", "verify"])
+def test_grid_of_entry_poles_is_the_same_error_on_every_command(cmd, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    gain = [] if cmd == "lower-bound" else ["--gain", {"K": [[-1.0]]}]
+    argv = [cmd, *gain, "--grid-min", "1", "--grid-max", "2", "--points", "2"]
+    message = "hinfkit: internal error: every grid point was skipped; nothing to maximize\n"
+    assert _run_case(ENTRY_POLE_MODEL, argv) == (cli.EXIT_INTERNAL, "", message)
