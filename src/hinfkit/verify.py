@@ -13,7 +13,10 @@ Hamiltonian level sets if also cond(E) < 1e8, else from a frequency grid.
 sigma_max(T(jw)) evaluator, read by the norm, by sigma_max at the sampled
 frequency and by the CLI's frequency table. On the level-set route the loop
 is closed once; the pole test and the norm's Hurwitz check read its one
-spectrum. Every frequency sweep evaluates its grid in stacked batches.
+spectrum. If E - E^T, A - A^T and E A - A E are exactly zero, the storage
+function X = -A^{-1} E of the closed-form gain bounds the first level (bounded
+real lemma, sound for any symmetric X); failing that, the Hamiltonian runs.
+Every frequency sweep evaluates its grid in stacked batches.
 scipy is imported only at the QZ call sites (``rational_stability`` and the
 denominator clearing it uses, and ``linalg.generalized_eigenvalues`` when
 cond(E) >= 1e8): buffer, irrigation and thermal commands never load it.
@@ -174,8 +177,27 @@ def _grid_sigma(plant: RationalPlant, gain: Gain) -> Callable:
     return lambda w: freqgrid.chunked(values, w, 16 * k * (4 * k + 2 * m))
 
 
+def _bounds_norm(ss: StateSpace, Y: np.ndarray, CtC: np.ndarray, gamma: float) -> bool:
+    """Whether a Cholesky factorization of -Q - delta I succeeds, X = (Y + Y^T) / 2.
+
+    Q = A^T X + X A + C^T C + X B B^T X / gamma^2 <= 0 gives sigma_max(T(jw)) <= gamma at
+    every w (bounded real lemma). delta = 8 n eps (2 ||A^T X|| + ||C^T C|| + ||X B / gamma||^2)
+    in the infinity norm is the rounding allowance.
+    """
+    n, X = Y.shape[0], 0.5 * (Y + Y.T)
+    XA, XB = X @ ss.A, X @ ss.B / gamma
+    scale = 2.0 * np.linalg.norm(XA, 1) + np.linalg.norm(CtC, np.inf)
+    delta = 8.0 * n * np.finfo(float).eps * (scale + np.linalg.norm(XB, np.inf) ** 2)
+    try:
+        np.linalg.cholesky(delta * np.eye(n) - XA - XA.T - CtC - XB @ XB.T)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def hinf_norm_ss(
-    ss: StateSpace, tol: float = NORM_RTOL, *, sigma: _GramSigma | None = None
+    ss: StateSpace, tol: float = NORM_RTOL, *, sigma: _GramSigma | None = None,
+    storage: np.ndarray | None = None,
 ) -> NormResult:
     """H-infinity norm of a stable, strictly proper state-space system.
 
@@ -191,6 +213,8 @@ def hinf_norm_ss(
     ``sigma`` is the loop's evaluator from ``_route``, for a caller that
     evaluates the loop as well. The Hurwitz check and the pole
     seed read ``ss.poles``, which a pole test on the same loop has computed.
+    ``storage``, a storage function X (symmetrized), lets ``_bounds_norm`` test the
+    first gamma in n x n; if it holds, the result is the Hamiltonian's with no crossing.
     """
     A, B, D = ss.A, ss.B, ss.D
     if D.any():
@@ -211,6 +235,8 @@ def hinf_norm_ss(
     lb, w_best = max((smax(w), w) for w in (0.0, float(w_pole)))
     if lb == 0.0:
         return NormResult(0.0, 0.0)
+    if storage is not None and _bounds_norm(ss, storage, CtC, (1.0 + tol) * lb):
+        return NormResult(float((1.0 + 0.5 * tol) * lb), w_best)
 
     for _ in range(NORM_ITER_MAX):
         gamma = (1.0 + tol) * lb
@@ -467,7 +493,10 @@ def certify_optimality(
             res = adaptive_max(smax, grid=grid, batched=True)
             norm, peak = res.value, res.omega
         else:
-            norm, peak = hinf_norm_ss(loop, sigma=smax)
+            E, A, X = desc.E, desc.A, None
+            if not ((E - E.T).any() or (A - A.T).any() or (E @ A - A @ E).any()):
+                X = -np.linalg.solve(A, E)
+            norm, peak = hinf_norm_ss(loop, sigma=smax, storage=X)
         try:
             sigma0 = float(smax(gain.omega0))
         except (PoleAtEvaluationError, PoleOnAxisError):

@@ -15,15 +15,21 @@ import hinfkit.linalg
 import hinfkit.verify
 from hinfkit import (
     DescriptorPlant,
+    Gain,
+    NetworkModel,
     buffer_law,
     certify_optimality,
     compile_buffer,
+    compile_irrigation,
     compile_network,
+    descriptor_gain,
+    hinf_norm_ss,
     spectral_norm,
     symmetric_commuting_check,
 )
 from hinfkit.cli import EXIT_OK, _parse, _resolve, main
-from conftest import random_buffer
+from hinfkit.sysmodel import close_loop
+from conftest import asym_chain, random_buffer
 from test_golden import MODELS
 from test_verify import ROOMS
 
@@ -55,7 +61,8 @@ def buffer_doc(n, seed=1):
 
 def test_level_set_certificate_takes_one_closed_loop_spectrum(monkeypatch):
     # The pole test and the norm's Hurwitz check read one n x n spectrum; the
-    # norm adds one 2n x 2n Hamiltonian. No pencil solver runs on this route.
+    # storage function bounds the norm's first level, so no 2n x 2n Hamiltonian
+    # runs. No pencil solver runs on this route.
     net = random_buffer(np.random.default_rng(1), 50)
     plant, gain = compile_buffer(net).to_rational(), buffer_law(net)
     pencils = []
@@ -70,8 +77,38 @@ def test_level_set_certificate_takes_one_closed_loop_spectrum(monkeypatch):
     eigvals = count_calls(monkeypatch, "eigvals")
     cert = certify_optimality(plant, gain)
     assert cert.details["method"] == "state-space" and cert.verdict == "optimal"
-    assert eigvals == [(50, 50), (100, 100)]
+    assert eigvals == [(50, 50)]
     assert pencils == []
+
+
+def test_storage_test_failing_falls_back_to_the_hamiltonian(monkeypatch):
+    # Half the closed-form gain: the storage function no longer bounds the first
+    # level, so one n x n Cholesky fails and the level sets run as before.
+    net = random_buffer(np.random.default_rng(1), 50)
+    desc, gain = compile_buffer(net), buffer_law(net)
+    half = Gain(0.5 * gain.K)
+    reference = hinf_norm_ss(close_loop(desc, half))
+    eigvals = count_calls(monkeypatch, "eigvals")
+    choleskys = count_calls(monkeypatch, "cholesky")
+    cert = certify_optimality(desc.to_rational(), half)
+    assert cert.verdict == "stable-but-suboptimal"
+    assert (cert.hinf_norm, cert.peak_frequency) == reference
+    assert choleskys == [(50, 50)]
+    assert eigvals[0] == (50, 50) and (100, 100) in eigvals[1:]
+
+
+CASCADE3 = NetworkModel("irrigation", 3, [], {"alpha": [2.0, 4.0, 1.0], "beta": [1.0] * 3,
+                                               "tau": [1.0] * 3})
+
+
+@pytest.mark.parametrize("plant", [asym_chain(2.0), compile_irrigation(CASCADE3)[0]],
+                         ids=["asym_chain", "irrigation3"])
+def test_nonsymmetric_plant_builds_no_storage_function(plant, monkeypatch):
+    # A - A^T != 0: no storage function is built, so no Cholesky runs.
+    choleskys = count_calls(monkeypatch, "cholesky")
+    cert = certify_optimality(plant.to_rational(), descriptor_gain(plant))
+    assert cert.details["method"] == "state-space"
+    assert choleskys == []
 
 
 def test_buffer_verify_runs_at_most_three_svds(tmp_path, monkeypatch):
