@@ -13,13 +13,13 @@ Hamiltonian level sets if also cond(E) < 1e8, else from a frequency grid.
 sigma_max(T(jw)) evaluator, read by the norm, by sigma_max at the sampled
 frequency and by the CLI's frequency table. On the level-set route the loop
 is closed once; the pole test and the norm's Hurwitz check read its one
-spectrum. If E - E^T, A - A^T and E A - A E are exactly zero, the storage
-function X = -A^{-1} E of the closed-form gain bounds the first level (bounded
-real lemma, sound for any symmetric X); failing that, the Hamiltonian runs.
-Every frequency sweep evaluates its grid in stacked batches.
-scipy is imported only at the QZ call sites (``rational_stability`` and the
-denominator clearing it uses, and ``linalg.generalized_eigenvalues`` when
-cond(E) >= 1e8): buffer, irrigation and thermal commands never load it.
+spectrum. On an exactly symmetric commuting plant, the closed-form gain's
+storage function X = -A^{-1} E tests the first level before the Hamiltonian
+does (bounded real lemma, sound for any symmetric X). Every frequency sweep
+evaluates its grid in stacked batches. scipy is imported only at the QZ call
+sites (``rational_stability`` and the denominator clearing it uses, and
+``linalg.generalized_eigenvalues`` when cond(E) >= 1e8): buffer, irrigation and
+thermal commands never load it.
 """
 
 from __future__ import annotations
@@ -182,14 +182,14 @@ def _bounds_norm(ss: StateSpace, Y: np.ndarray, CtC: np.ndarray, gamma: float) -
 
     Q = A^T X + X A + C^T C + X B B^T X / gamma^2 <= 0 gives sigma_max(T(jw)) <= gamma at
     every w (bounded real lemma). delta = 8 n eps (2 ||A^T X|| + ||C^T C|| + ||X B / gamma||^2)
-    in the infinity norm is the rounding allowance.
+    in the infinity norm is the rounding allowance: the test asks Q < -delta I, not Q < 0.
     """
     n, X = Y.shape[0], 0.5 * (Y + Y.T)
     XA, XB = X @ ss.A, X @ ss.B / gamma
     scale = 2.0 * np.linalg.norm(XA, 1) + np.linalg.norm(CtC, np.inf)
     delta = 8.0 * n * np.finfo(float).eps * (scale + np.linalg.norm(XB, np.inf) ** 2)
     try:
-        np.linalg.cholesky(delta * np.eye(n) - XA - XA.T - CtC - XB @ XB.T)
+        np.linalg.cholesky(-delta * np.eye(n) - XA - XA.T - CtC - XB @ XB.T)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -210,11 +210,10 @@ def hinf_norm_ss(
     converges quadratically; it stops when no candidate reaches gamma. The
     norm is the midpoint of the bracket [lb, gamma]. The peak frequency is
     the best sample evaluated, where sigma_max = lb >= norm / (1 + tol / 2).
-    ``sigma`` is the loop's evaluator from ``_route``, for a caller that
-    evaluates the loop as well. The Hurwitz check and the pole
-    seed read ``ss.poles``, which a pole test on the same loop has computed.
-    ``storage``, a storage function X (symmetrized), lets ``_bounds_norm`` test the
-    first gamma in n x n; if it holds, the result is the Hamiltonian's with no crossing.
+    ``sigma`` is the loop's evaluator from ``_route``, for a caller that evaluates the
+    loop as well. The Hurwitz check and the pole seed read ``ss.poles``, which a pole
+    test on the same loop has computed. Given a storage function, ``_bounds_norm`` tests
+    the first gamma in n x n and, if it holds, returns the Hamiltonian's no-crossing result.
     """
     A, B, D = ss.A, ss.B, ss.D
     if D.any():
@@ -493,9 +492,7 @@ def certify_optimality(
             res = adaptive_max(smax, grid=grid, batched=True)
             norm, peak = res.value, res.omega
         else:
-            E, A, X = desc.E, desc.A, None
-            if not ((E - E.T).any() or (A - A.T).any() or (E @ A - A @ E).any()):
-                X = -np.linalg.solve(A, E)
+            X = -np.linalg.solve(desc.A, desc.E) if _exactly_symmetric_commuting(desc) else None
             norm, peak = hinf_norm_ss(loop, sigma=smax, storage=X)
         try:
             sigma0 = float(smax(gain.omega0))
@@ -606,6 +603,11 @@ class SymmetryReport:
         return self.holds
 
 
+def _exactly_symmetric_commuting(p: DescriptorPlant) -> bool:
+    """Whether E - E^T, A - A^T and E A - A E are all exactly zero."""
+    return not ((p.E - p.E.T).any() or (p.A - p.A.T).any() or (p.E @ p.A - p.A @ p.E).any())
+
+
 def symmetric_commuting_check(plant: DescriptorPlant) -> SymmetryReport:
     """Check E = E^T > 0, A = A^T < 0 and E A = A E.
 
@@ -614,13 +616,12 @@ def symmetric_commuting_check(plant: DescriptorPlant) -> SymmetryReport:
     A - A^T or E A - A E that is exactly zero passes with no norm taken;
     ||E|| and ||A|| are taken only if some residue is nonzero.
     """
-    E, A = plant.E, plant.A
-    residues = (E - E.T, A - A.T, E @ A - A @ E)
-    flags = [not r.any() for r in residues]
-    if not all(flags):
+    E, A, flags = plant.E, plant.A, [True] * 3
+    if not _exactly_symmetric_commuting(plant):
+        residues = (E - E.T, A - A.T, E @ A - A @ E)
         ne, na = spectral_norm(E), spectral_norm(A)
         caps = (1e-12 * max(ne, 1e-300), 1e-12 * max(na, 1e-300), 1e-10 * max(ne * na, 1e-300))
-        flags = [ok or spectral_norm(r) <= cap for ok, r, cap in zip(flags, residues, caps)]
+        flags = [not r.any() or spectral_norm(r) <= cap for r, cap in zip(residues, caps)]
     sym_e, sym_a, commuting = flags
     pd_e = bool(sym_e and np.linalg.eigvalsh(0.5 * (E + E.T))[0] > 0)
     nd_a = bool(sym_a and np.linalg.eigvalsh(0.5 * (A + A.T))[-1] < 0)

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 import hinfkit.verify as verify
 from conftest import random_buffer
 from hinfkit import DescriptorPlant, Gain, buffer_law, certify_optimality, compile_buffer, descriptor_gain
-from hinfkit.sysmodel import close_loop
-from hinfkit.verify import NORM_RTOL, hinf_norm_ss
+from hinfkit.sysmodel import StateSpace, close_loop
+from hinfkit.verify import NORM_RTOL, _exactly_symmetric_commuting, hinf_norm_ss
 
 # A 4 x 4 orthogonal matrix with entries +-1/2.
 H4 = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
@@ -49,11 +49,6 @@ def dyadic_plant(rng, n, m):
     U = dyadic_orthogonal(rng, n)
     e, a = rng.integers(4, 25, n) / 8.0, rng.integers(-40, -3, n) / 8.0
     return DescriptorPlant((U * e) @ U.T, (U * a) @ U.T, rng.standard_normal((n, m)))
-
-
-def exactly_commuting(desc):
-    E, A = desc.E, desc.A
-    return not ((E - E.T).any() or (A - A.T).any() or (E @ A - A @ E).any())
 
 
 def certify(desc, gain):
@@ -94,7 +89,7 @@ def symmetric_plants(draw):
 @given(symmetric_plants(), st.sampled_from(["closed-form", "scaled", "noisy"]), st.floats(0.3, 1.7))
 def test_storage_certificate_reads_what_the_hamiltonian_reads(plant, variant, theta):
     desc, K = plant
-    assert exactly_commuting(desc)
+    assert _exactly_symmetric_commuting(desc)
     if variant == "scaled":
         K = theta * K
     elif variant == "noisy":
@@ -141,7 +136,7 @@ def test_orthogonal_change_of_state_keeps_the_certificate(name):
     U = dyadic_orthogonal(np.random.default_rng(3), desc.n)
     A = U @ desc.A @ U.T
     moved = DescriptorPlant(U @ desc.E @ U.T, 0.5 * (A + A.T), U @ desc.B)
-    assert exactly_commuting(moved)
+    assert _exactly_symmetric_commuting(moved)
     (before, t0), (after, t1) = certify(desc, Gain(K)), certify(moved, Gain(K @ U.T))
     assert t0 == t1 == [True]
     same_certificate(after, before)
@@ -180,3 +175,17 @@ def test_first_level_below_an_off_seed_peak_fails_the_storage_test(w):
     assert cert.hinf_norm > (1.0 + NORM_RTOL) * seeds.max()
     assert tests == [False]
     assert (cert.hinf_norm, cert.peak_frequency) == hinf_norm_ss(loop)
+
+
+@pytest.mark.parametrize("excess, bounds", [(-64, True), (0, False), (16, False)])
+def test_storage_test_needs_q_below_minus_the_rounding_allowance(excess, bounds):
+    # xdot = -x + w with X = 1 and gamma = 1: Q = -2 + C^T C + 1 is exactly excess * eps,
+    # and the allowance delta is about 32 eps. Only Q < -delta proves the bound; a Q
+    # in (0, delta) must fail, as must Q = 0.
+    eps = np.finfo(float).eps
+    CtC = np.array([[1.0 + excess * eps]])
+    Q = -2.0 + CtC[0, 0] + 1.0
+    delta = 8.0 * eps * (2.0 + CtC[0, 0] + 1.0)
+    assert Q == excess * eps and 16 * eps < delta < 64 * eps
+    ss = StateSpace([[-1.0]], [[1.0]], np.sqrt(CtC), [[0.0]])
+    assert verify._bounds_norm(ss, np.eye(1), CtC, 1.0) is bounds
