@@ -18,9 +18,9 @@ Each operation does each step once: the parser is built once per process,
 ``main`` reads the model file once (its sha256 is the report's digest) and
 resolves it into its report kind, certification plant (linked to its
 descriptor form, if any) and canonical gain, and the report is written in one
-walk, each 2-D float matrix row by row. freqresp takes its sigma_max
-evaluator from verify's one route function, as the certificate does;
-compare refuses a descriptor form with a singular E. Only synth takes
+walk, each 2-D float matrix row by row. verify builds every certificate block;
+freqresp's table takes _route's sigma_max evaluator (verify.sigma_table). The
+CLI parses, refuses, dispatches and writes; compare refuses a singular E. Only synth takes
 --weighted. --tol (>= 0) and --omega0 must be finite, the grid bounds
 finite with 0 < --grid-min < --grid-max, and --points at least 2.
 Malformed generate lists (numbers, i-j edges, i-j:w weights) exit 2, as does a
@@ -53,13 +53,12 @@ from .exceptions import (
     HinfkitError,
     InvalidInputError,
     ModelError,
-    NumericalError,
     SchemaError,
     SingularMatrixError,
 )
 from .baseline import AreProblem, gamma_bisect
 from .netgen import NetworkModel
-from .sysmodel import DescriptorPlant, Gain, RationalPlant, modal_plant
+from .sysmodel import DescriptorPlant, Gain, RationalPlant
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -318,25 +317,6 @@ def _report(form, **fields) -> dict:
     return {"tool": {"name": "hinfkit", "version": __version__}, "model": form.header, **fields}
 
 
-def _structure_checks(plant) -> dict:
-    """Descriptor-plant structure tests; the sweep-free route and its fallback."""
-    desc = plant.descriptor if plant is not None else None
-    if desc is None:
-        return {}
-    sym = verify.symmetric_commuting_check(desc)
-    out = {"symmetric_commuting": {**asdict(sym), "holds": sym.holds}}
-    if not sym.holds:
-        if desc.state_space:
-            pencil = verify.pencil_stability(desc, synth.descriptor_gain(desc))._asdict()
-        else:
-            pencil = {"applicable": False, "reason": "E is singular"}
-        out["fallback"] = {
-            "zero_peak_inequality": asdict(verify.zero_peak_inequality(desc)),
-            "pencil_stability": pencil,
-        }
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -356,48 +336,12 @@ def _cmd_synth(args, form):
 
 
 def _cmd_verify(args, form):
-    if args.gain:
-        if form.plant is None:
-            raise InvalidInputError("machine networks certify their own modal law only")
-        gain = _load_gain(args.gain, args.omega0)
-    else:
-        gain = form.gain(args.omega0)
-
-    report = _report(
-        form,
-        gain=_gain_report(gain),
-        tolerances={"tol": args.tol},
-        checks=_structure_checks(form.plant),
-    )
-
-    if form.plant is None:
-        verdict = _verify_machine(gain, args, report)
-    else:
-        cert = verify.certify_optimality(form.plant, gain, tol=args.tol, grid=args.grid)
-        report["certificate"] = asdict(cert)
-        verdict = cert.verdict
-    _emit(report, args.out)
-    if verdict == "optimal":
-        return EXIT_OK
-    return EXIT_UNSTABLE if verdict == "unstable" else EXIT_SUBOPTIMAL
-
-
-def _verify_machine(gain, args, report):
-    """Certify every decoupled mode; the overall norm is the worst modal norm."""
-    m, d = gain.metadata["mass"], gain.metadata["damping"]
-    certs = []
-    for mode in gain.metadata["modes"]:
-        plant = modal_plant(m, d, mode["eigenvalue"])
-        mode_gain = Gain([[mode["gain"]]], omega0=mode["omega0"], formula="modal")
-        certs.append(verify.certify_optimality(plant, mode_gain, tol=args.tol, grid=args.grid))
-    worst = max(certs, key=lambda c: c.hinf_norm)
-    report["certificate"] = asdict(worst)
-    report["modes"] = [asdict(c) for c in certs]
-    if any(c.verdict == "unstable" for c in certs):
-        return "unstable"
-    if all(c.verdict == "optimal" for c in certs):
-        return "optimal"
-    return "stable-but-suboptimal"
+    if args.gain and form.plant is None:
+        raise InvalidInputError("machine networks certify their own modal law only")
+    gain = _load_gain(args.gain, args.omega0) if args.gain else form.gain(args.omega0)
+    blocks, verdict = verify.certificate_blocks(form.plant, gain, tol=args.tol, grid=args.grid)
+    _emit(_report(form, gain=_gain_report(gain), tolerances={"tol": args.tol}, **blocks), args.out)
+    return {"optimal": EXIT_OK, "unstable": EXIT_UNSTABLE}.get(verdict, EXIT_SUBOPTIMAL)
 
 
 def _cmd_lower_bound(args, form):
@@ -446,18 +390,8 @@ def _cmd_freqresp(args, form):
     gain = _load_gain(args.gain, args.omega0) if args.gain else form.gain(args.omega0)
     if form.plant is None:
         raise InvalidInputError("freqresp requires a model with a single plant form")
-    _, _, smax = verify._route(form.plant, gain)
-    rows = [(float(w), float(v)) for w, v in zip(args.grid, smax(args.grid)) if not math.isnan(v)]
-    if not rows:
-        raise NumericalError("every grid point was skipped; nothing to maximize")
-    vmax = max(v for _, v in rows)
-    lines = ["omega,sigma_max,is_peak"]
-    marked = False
-    for w, v in rows:
-        peak = int(not marked and v >= vmax * (1.0 - freqgrid.TIE_RTOL))
-        marked = marked or bool(peak)
-        lines.append(f"{w!r},{v!r},{peak}")
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = verify.sigma_table(form.plant, gain, args.grid)
+    _emit("omega,sigma_max,is_peak\n" + "".join(f"{w!r},{v!r},{p}\n" for w, v, p in rows), args.out)
     return EXIT_OK
 
 

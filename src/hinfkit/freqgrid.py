@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidInputError, NumericalError, PoleAtEvaluationError
+from .exceptions import InvalidInputError, PoleAtEvaluationError
 
 GRID_MIN = 1e-4
 GRID_MAX = 1e4
@@ -65,6 +65,14 @@ def chunked(f, omegas, sample_bytes: int):
     if w.ndim == 0:
         return f(w)
     return np.concatenate([f(c) for c in chunks(w, sample_bytes)])
+
+
+def kept_samples(grid: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid and values without NaN samples (entry poles); PoleAtEvaluationError if none is left."""
+    kept = ~np.isnan(values)
+    if not kept.any():
+        raise PoleAtEvaluationError("every grid frequency is an entry pole of the plant")
+    return grid[kept], values[kept]
 
 
 @dataclass
@@ -117,7 +125,8 @@ def adaptive_max(f, grid=None, batched: bool = False) -> PeakResult:
     values, and the grid is evaluated in one call; a NaN value marks a
     skipped sample (an entry pole of a rational plant). Otherwise ``f`` maps
     one frequency to one value and may raise PoleAtEvaluationError at
-    isolated frequencies, which skips them. Any other exception propagates.
+    isolated frequencies, which skips them; ``kept_samples`` raises it when
+    no sample is left. Any other exception propagates.
     The eight highest local maxima of the grid, whatever their value (ties
     in grid order), are each refined by golden-section search, one
     frequency per call, until the surrounding bracket is narrower than
@@ -125,12 +134,7 @@ def adaptive_max(f, grid=None, batched: bool = False) -> PeakResult:
     """
     g = f if batched else _pointwise(f)
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    values = np.asarray(g(grid), dtype=float)
-    kept = ~np.isnan(values)
-    skipped = int(grid.size - kept.sum())
-    omegas, values = grid[kept], values[kept]
-    if not omegas.size:
-        raise NumericalError("every grid point was skipped; nothing to maximize")
+    omegas, values = kept_samples(grid, np.asarray(g(grid), dtype=float))
 
     left = np.concatenate(([-np.inf], values[:-1]))
     right = np.concatenate((values[1:], [-np.inf]))
@@ -157,7 +161,7 @@ def adaptive_max(f, grid=None, batched: bool = False) -> PeakResult:
     tie = best_value - TIE_RTOL * (abs(best_value) + 1e-300)
     contenders = list(omegas[values >= tie])
     contenders += [w for w, v in refined if v >= tie]
-    return PeakResult(value=best_value, omega=float(min(contenders)), skipped=skipped)
+    return PeakResult(best_value, float(min(contenders)), skipped=grid.size - omegas.size)
 
 
 def adaptive_min(f, grid=None, batched: bool = False) -> PeakResult:

@@ -9,7 +9,8 @@ exactly to rational ones by filling those tensors with -A, E and B; the
 rational object keeps a link back to its descriptor so that verification
 can use a lower bound that is a precomputed quadratic in frequency and, if
 E passes the rank test (``state_space``), the pencil test and the
-state-space norm. A closed-loop pole on the axis is an exactly singular loop.
+state-space norm. rcond(E) and the exact-structure test are decided once per
+descriptor plant. A closed-loop pole on the axis is an exactly singular loop.
 """
 
 from __future__ import annotations
@@ -69,6 +70,12 @@ class DescriptorPlant:
     def rcond_E(self) -> float:
         """rcond of E, computed once: the route decisions on E all read it."""
         return linalg.rcond(self.E)
+
+    @cached_property
+    def exactly_symmetric_commuting(self) -> bool:
+        """Whether E - E^T, A - A^T and E A - A E are all exactly zero; only the verdict is kept."""
+        E, A = self.E, self.A
+        return not ((E - E.T).any() or (A - A.T).any() or (E @ A - A @ E).any())
 
     @property
     def state_space(self) -> bool:

@@ -11,28 +11,30 @@ block-companion pencil of the cleared loop M - N K; the norm comes from
 Hamiltonian level sets if also cond(E) < 1e8, else from a frequency grid.
 ``_route`` decides this once per certificate and builds the loop's one
 sigma_max(T(jw)) evaluator, read by the norm, by sigma_max at the sampled
-frequency and by the CLI's frequency table. On the level-set route the loop
-is closed once; the pole test and the norm's Hurwitz check read its one
-spectrum. On an exactly symmetric commuting plant, the closed-form gain's
-storage function X = -A^{-1} E tests the first level before the Hamiltonian
-does (bounded real lemma, sound for any symmetric X). Every frequency sweep
-evaluates its grid in stacked batches. scipy is imported only at the QZ call
-sites (``rational_stability`` and the denominator clearing it uses, and
-``linalg.generalized_eigenvalues`` when cond(E) >= 1e8): buffer, irrigation and
-thermal commands never load it.
+frequency and by the CLI's frequency table, ``sigma_table``. On the level-set
+route the loop is closed once; the pole test and the norm's Hurwitz check read
+its one spectrum. On an exactly symmetric commuting plant (one verdict per
+plant, which the structure checks share), the closed-form gain's storage
+function X = -A^{-1} E tests the first level before the Hamiltonian does
+(bounded real lemma, sound for any symmetric X). ``certificate_blocks`` builds
+every block of a verify report. Every frequency sweep evaluates its grid in
+stacked batches. scipy is imported only at the QZ call sites
+(``rational_stability`` and the denominator clearing it uses, and
+``linalg.generalized_eigenvalues`` when cond(E) >= 1e8): buffer, irrigation
+and thermal commands never load it.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from . import freqgrid, linalg
+from . import freqgrid, linalg, synth
 from .exceptions import (
     DimensionError,
     InvalidInputError,
@@ -53,6 +55,7 @@ from .sysmodel import (
     close_loop,
     closed_state_matrix,
     eval_closed_rational,
+    modal_plant,
 )
 
 # Closed-loop eigenvalues must clear the imaginary axis by this margin,
@@ -443,6 +446,17 @@ def _route(
     return desc, loop, _GramSigma(loop)
 
 
+def sigma_table(plant: RationalPlant, gain: Gain, grid) -> list[tuple[float, float, int]]:
+    """(w, sigma_max(T(jw)), is_peak) at each grid frequency that is not an entry pole.
+
+    sigma is ``_route``'s evaluator, so the row at omega0 is the certificate's sigma0, bit for
+    bit; the peak is the first row within TIE_RTOL of the largest value."""
+    _, _, smax = _route(plant, gain)
+    ws, vs = freqgrid.kept_samples(np.asarray(grid, dtype=float), smax(grid))
+    peak = int(np.argmax(vs >= vs.max() * (1.0 - freqgrid.TIE_RTOL)))
+    return [(w, v, int(i == peak)) for i, (w, v) in enumerate(zip(ws.tolist(), vs.tolist()))]
+
+
 @dataclass
 class Certificate:
     """Numerical optimality record for one (plant, gain) pair; dataclasses.asdict serializes it."""
@@ -510,6 +524,25 @@ def certify_optimality(
     )
 
 
+def certificate_blocks(plant: RationalPlant | None, gain: Gain, tol=CERT_RTOL, grid=None) -> tuple:
+    """(blocks, verdict) of a verify report: ``checks`` (``structure_checks``) and ``certificate``.
+
+    A machine network (``plant`` None) certifies each mode m s + d + lambda / s under its modal
+    gain, in ``modes``; ``certificate`` is the largest norm's, the verdict the worst verdict."""
+    if plant is not None:
+        checks = structure_checks(plant)
+        cert = certify_optimality(plant, gain, tol=tol, grid=grid)
+        return {"checks": checks, "certificate": asdict(cert)}, cert.verdict
+    m, d = gain.metadata["mass"], gain.metadata["damping"]
+    certs = [certify_optimality(modal_plant(m, d, mode["eigenvalue"]),
+                                Gain([[mode["gain"]]], mode["omega0"], "modal"), tol=tol, grid=grid)
+             for mode in gain.metadata["modes"]]
+    worst = max(certs, key=lambda c: c.hinf_norm)
+    worst_first = ("unstable", "stable-but-suboptimal", "optimal")
+    verdict = min((c.verdict for c in certs), key=worst_first.index)
+    return {"checks": {}, "certificate": asdict(worst), "modes": list(map(asdict, certs))}, verdict
+
+
 @dataclass
 class DominanceResult:
     """Outcome of the zero-peak frequency-domain inequality check."""
@@ -527,13 +560,13 @@ class DominanceResult:
 def zero_peak_inequality(plant: DescriptorPlant, grid=None) -> DominanceResult:
     """Check w^2 F G^{-1} F^T + j w (F^T - F) + G >= ||G^{-1}||^{-1} I for all w.
 
-    F = E A^T and G = A A^T + B B^T. Holding for every frequency means the
-    closed loop under the descriptor gain peaks at w = 0. The check samples
-    an adaptive grid and allows -1e-9 lambda_max(G), which scales as H(w)
-    does with (E, A, B); beyond the crossover where the quadratic term
-    dominates the linear one, the inequality holds automatically and
-    sampling stops (tail rule). A singular F restricts the tail argument to
-    the complement of its kernel and extends the grid to 1e6 instead.
+    F = E A^T and G = A A^T + B B^T. lambda_min(H(w)) sigma_max(T_K(jw))^2 = 1 for the
+    descriptor gain K = B^T A^{-T}, so holding for every frequency means that loop peaks at
+    w = 0; ``holds`` says nothing about stability, which the pencil test decides. The check
+    samples an adaptive grid and allows -1e-9 lambda_max(G), which scales as H(w) does with
+    (E, A, B); beyond the crossover where the quadratic term dominates the linear one, the
+    inequality holds automatically and sampling stops (tail rule). A singular F restricts
+    the tail argument to the complement of its kernel and extends the grid to 1e6 instead.
     """
     E, A, B = plant.E, plant.A, plant.B
     F = E @ A.T
@@ -604,8 +637,8 @@ class SymmetryReport:
 
 
 def _exactly_symmetric_commuting(p: DescriptorPlant) -> bool:
-    """Whether E - E^T, A - A^T and E A - A E are all exactly zero."""
-    return not ((p.E - p.E.T).any() or (p.A - p.A.T).any() or (p.E @ p.A - p.A @ p.E).any())
+    """Whether E - E^T, A - A^T and E A - A E are all exactly zero: the plant's one verdict."""
+    return p.exactly_symmetric_commuting
 
 
 def symmetric_commuting_check(plant: DescriptorPlant) -> SymmetryReport:
@@ -626,6 +659,28 @@ def symmetric_commuting_check(plant: DescriptorPlant) -> SymmetryReport:
     pd_e = bool(sym_e and np.linalg.eigvalsh(0.5 * (E + E.T))[0] > 0)
     nd_a = bool(sym_a and np.linalg.eigvalsh(0.5 * (A + A.T))[-1] < 0)
     return SymmetryReport(sym_e, pd_e, sym_a, nd_a, commuting)
+
+
+def structure_checks(plant: RationalPlant) -> dict:
+    """The report's structure block: the sweep-free route's test and, if it fails, its fallback.
+
+    {} for a plant with no descriptor form. The fallback's pencil test is of the descriptor
+    gain K = B^T A^{-T}, whatever gain is being verified.
+    """
+    desc = plant.descriptor
+    if desc is None:
+        return {}
+    sym = symmetric_commuting_check(desc)
+    out = {"symmetric_commuting": {**asdict(sym), "holds": sym.holds}}
+    if not sym.holds:
+        pencil = {"applicable": False, "reason": "E is singular"}
+        if desc.state_space:
+            pencil = pencil_stability(desc, synth.descriptor_gain(desc))._asdict()
+        out["fallback"] = {
+            "zero_peak_inequality": asdict(zero_peak_inequality(desc)),
+            "pencil_stability": pencil,
+        }
+    return out
 
 
 @dataclass

@@ -38,11 +38,15 @@ def line_buffer():
 
 
 def random_buffer(rng, n: int) -> NetworkModel:
-    """Random connected buffer network: a spanning path plus extra chords."""
+    """Random connected buffer network: a spanning path plus n // 2 extra chords.
+
+    The chord count is capped at the (n - 1)(n - 2) / 2 pairs with |i - j| > 1,
+    which leaves every draw with n >= 3 as it was and gives n = 2 no chord.
+    """
     a = rng.uniform(0.5, 5.0, n)
     edges = [(i, i + 1) for i in range(n - 1)]
     chords = set()
-    while len(chords) < n // 2:
+    while len(chords) < min(n // 2, (n - 1) * (n - 2) // 2):
         i, j = rng.integers(0, n, 2)
         if i != j and abs(int(i) - int(j)) > 1:
             chords.add((min(int(i), int(j)), max(int(i), int(j))))

@@ -1067,5 +1067,25 @@ def test_grid_of_entry_poles_is_the_same_error_on_every_command(cmd, tmp_path, m
     monkeypatch.chdir(tmp_path)
     gain = [] if cmd == "lower-bound" else ["--gain", {"K": [[-1.0]]}]
     argv = [cmd, *gain, "--grid-min", "1", "--grid-max", "2", "--points", "2"]
-    message = "hinfkit: internal error: every grid point was skipped; nothing to maximize\n"
-    assert _run_case(ENTRY_POLE_MODEL, argv) == (cli.EXIT_INTERNAL, "", message)
+    message = "hinfkit: invalid model: every grid frequency is an entry pole of the plant\n"
+    assert _run_case(ENTRY_POLE_MODEL, argv) == (EXIT_INVARIANT, "", message)
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    # The CLI parses, dispatches and writes; every certificate block comes from a
+    # public function of verify. Dunder names such as __version__ are public.
+    import ast
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = lambda name: name.startswith("_") and not name.endswith("__")
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("hinfkit")):
+            if node.module is None:
+                modules |= {alias.asname or alias.name for alias in node.names}
+            found += [f"{node.module}.{a.name}" for a in node.names if private(a.name)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                found.append(f"{node.value.id}.{node.attr}")
+    assert found == []

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -227,3 +229,19 @@ def test_compile_network_dispatch(line_buffer):
     machine = NetworkModel("machine", 1, [], {"mass": 1.0, "damping": 1.0, "laplacian": [[0.0]]})
     with pytest.raises(InvalidInputError):
         compile_network(machine)
+
+
+def test_random_buffer_builds_the_smallest_networks():
+    # A 2-node path has no pair with |i - j| > 1, so it gets no chord; before the
+    # cap, the helper drew chords for it forever. The alarm turns a hang into a failure.
+    def hung(*_):
+        raise TimeoutError("random_buffer did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        nets = [random_buffer(np.random.default_rng(0), n) for n in (1, 2, 3)]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [net.edges for net in nets] == [[], [(0, 1)], [(0, 1), (1, 2), (0, 2)]]

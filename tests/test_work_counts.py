@@ -190,3 +190,38 @@ def test_symmetric_check_flags_match_the_check_with_every_norm(pair):
         return  # plants need an invertible A
     report = symmetric_commuting_check(plant)
     assert (report.symmetric_E, report.symmetric_A, report.commuting) == reference_flags(E, A)
+
+
+class _WatchedE(np.ndarray):
+    """The E of one plant: counts E - E^T, the first residue of every exact-structure test."""
+
+    def __sub__(self, other):
+        if "formed" in vars(self) and isinstance(other, np.ndarray) and np.shares_memory(self, other):
+            self.formed += 1
+        return super().__sub__(other)
+
+
+@pytest.mark.parametrize("doc, formed", [
+    (buffer_doc(50), 1),
+    ({"format": 1, "kind": "network", "network_kind": "irrigation", "nodes": 3,
+      "params": CASCADE3.params}, 2),
+], ids=["buffer50", "irrigation3"])
+def test_one_verify_decides_the_exact_structure_once(doc, formed, tmp_path, monkeypatch):
+    # Whether E - E^T, A - A^T and E A - A E are all exactly zero is decided once per
+    # plant: the structure block and the certificate's storage decision read one
+    # verdict. The cascade (A - A^T != 0) forms E - E^T once more, for the
+    # structure check's norm test of the nonzero residues.
+    model = tmp_path / "case.model"
+    model.write_text(json.dumps(doc))
+    plants = []
+    real = DescriptorPlant.to_rational
+
+    def to_rational(self):
+        self.E = self.E.view(_WatchedE)
+        self.E.formed = 0
+        plants.append(self)
+        return real(self)
+
+    monkeypatch.setattr(DescriptorPlant, "to_rational", to_rational)
+    assert main(["verify", str(model), "--out", str(tmp_path / "report.json")]) == EXIT_OK
+    assert [int(plant.E.formed) for plant in plants] == [formed]
