@@ -248,21 +248,22 @@ _JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _matrix_text(x, pad):
-    """json.dumps(x.tolist(), indent=2) of a 2-D float64 array, one row at a time.
+    """json.dumps(x.tolist(), indent=2) of a 2-D float64 array.
 
     Exact zeros, most cells of a sparse gain, are the literals 0.0 and -0.0;
-    every other cell is float.__repr__, as json writes it.
+    every other cell is float.__repr__, as json writes it. The nonzero and -0.0
+    cells are found in one pass over the whole matrix; each row is then one join.
     """
-    inner = pad + "  "
-    rows = []
-    for row in x:
-        cells = ["0.0"] * len(row)
-        for i in np.flatnonzero(np.signbit(row)).tolist():
-            cells[i] = "-0.0"
-        nz = np.flatnonzero(row)
-        for i, text in zip(nz.tolist(), map(repr, row[nz].tolist())):
-            cells[i] = _JSON_FLOAT.get(text, text)
-        rows.append(f"[\n{inner}  " + f",\n{inner}  ".join(cells) + f"\n{inner}]" if cells else "[]")
+    inner, (r, c), flat = pad + "  ", x.shape, x.ravel()
+    cells = ["0.0"] * flat.size
+    for i in np.flatnonzero(np.signbit(flat) & (flat == 0.0)).tolist():
+        cells[i] = "-0.0"
+    nz = np.flatnonzero(flat)
+    for i, text in zip(nz.tolist(), map(repr, flat[nz].tolist())):
+        cells[i] = _JSON_FLOAT.get(text, text)
+    sep = f",\n{inner}  "
+    rows = [f"[\n{inner}  " + sep.join(cells[i * c:(i + 1) * c]) + f"\n{inner}]" if c else "[]"
+            for i in range(r)]
     return f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{pad}]" if rows else "[]"
 
 

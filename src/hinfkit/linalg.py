@@ -4,7 +4,8 @@ All matrix inputs are coerced with ``np.asarray``; complex entries are
 allowed everywhere. Operations are pure functions on their arguments and are
 safe to call concurrently. scipy is imported only where QZ runs, inside
 ``generalized_eigenvalues`` when cond(e) >= REDUCTION_COND_MAX, so importing
-this module does not load it.
+this module does not load it. ``rcond`` and ``spectral_norm`` of an exactly
+diagonal real matrix (``_exactly_diagonal``) read |diag| and run no SVD.
 """
 
 from __future__ import annotations
@@ -43,24 +44,38 @@ def _require_finite(a, name="matrix"):
         raise InvalidInputError(f"{name} contains NaN or Inf entries")
 
 
+def _exactly_diagonal(a) -> bool:
+    """Whether ``a`` is a nonempty real square matrix with a finite diagonal and exact zeros off it."""
+    return bool(isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 2
+                and a.shape[0] == a.shape[1] > 0 and np.isfinite(a.diagonal()).all()
+                and np.count_nonzero(a) == np.count_nonzero(a.diagonal()))
+
+
 def spectral_norm(m) -> float:
     """Largest singular value of ``m``.
 
     Raises InvalidInputError on NaN/Inf entries. Returns 0.0 for empty or
-    zero matrices.
+    zero matrices. An exactly diagonal matrix gives max|d| (see ``rcond``).
     """
     a = _as_matrix(m)
     _require_finite(a, "spectral_norm input")
     if a.size == 0:
         return 0.0
+    if _exactly_diagonal(a):
+        return float(np.abs(a.diagonal()).max())
     return float(np.linalg.norm(a, 2))
 
 
 def rcond(m):
     """sigma_min / sigma_max of ``m``, or 0.0 for an empty or zero matrix.
 
-    A stack of matrices gives one value per matrix.
+    A stack of matrices gives one value per matrix. An exactly diagonal real
+    matrix gives min|d| / max|d| with no SVD: exact, and bitwise the SVD's
+    value while every |d| lies in [1e-100, 1e100], where LAPACK does not rescale.
     """
+    if _exactly_diagonal(m):
+        d = np.abs(m.diagonal())
+        return float(d.min() / d.max()) if d.max() != 0.0 else 0.0
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.ndim > 1:
         top = sv[..., 0]

@@ -10,7 +10,8 @@ rational object keeps a link back to its descriptor so that verification
 can use a lower bound that is a precomputed quadratic in frequency and, if
 E passes the rank test (``state_space``), the pencil test and the
 state-space norm. rcond(E) and the exact-structure test are decided once per
-descriptor plant. A closed-loop pole on the axis is an exactly singular loop.
+descriptor plant; an exactly diagonal E and A pass that test with no product
+formed. A closed-loop pole on the axis is an exactly singular loop.
 """
 
 from __future__ import annotations
@@ -75,7 +76,10 @@ class DescriptorPlant:
     def exactly_symmetric_commuting(self) -> bool:
         """Whether E - E^T, A - A^T and E A - A E are all exactly zero; only the verdict is kept."""
         E, A = self.E, self.A
-        return not ((E - E.T).any() or (A - A.T).any() or (E @ A - A @ E).any())
+        if (E - E.T).any() or (A - A.T).any():
+            return False
+        diagonal = linalg._exactly_diagonal(E) and linalg._exactly_diagonal(A)
+        return diagonal or not (E @ A - A @ E).any()  # diagonal matrices commute exactly
 
     @property
     def state_space(self) -> bool:
@@ -305,6 +309,8 @@ def close_loop(plant: DescriptorPlant, gain: Gain) -> StateSpace:
     """Closed loop from w to (y, u) with u = K*x, normalized to E = I.
 
     Returns xdot = E^{-1}(A + B K) x + E^{-1} w, z = [I; K] x; needs ``plant.state_space``.
+    An E that is exactly I takes no LU when A + B K holds no -0.0: solve(I, X) returns such
+    an X bit for bit (LU may turn a -0.0 into 0.0).
     """
     n, m = plant.n, plant.m
     AK = closed_state_matrix(plant, gain)
@@ -313,8 +319,11 @@ def close_loop(plant: DescriptorPlant, gain: Gain) -> StateSpace:
             f"E is singular (rcond~{plant.rcond_E:.2e}); descriptor has no state-space form",
             rcond=plant.rcond_E,
         )
-    Acl = np.linalg.solve(plant.E, AK)
-    Bcl = np.linalg.solve(plant.E, np.eye(n))
+    identity = linalg._exactly_diagonal(plant.E) and (plant.E.diagonal() == 1.0).all()
+    if identity and not np.signbit(AK[AK == 0.0]).any():
+        Acl, Bcl = AK, np.eye(n)
+    else:
+        Acl, Bcl = np.linalg.solve(plant.E, AK), np.linalg.solve(plant.E, np.eye(n))
     C = np.vstack([np.eye(n), gain.K])
     D = np.zeros((n + m, n))
     return StateSpace(Acl, Bcl, C, D)

@@ -15,8 +15,10 @@ frequency and by the CLI's frequency table, ``sigma_table``. On the level-set
 route the loop is closed once; the pole test and the norm's Hurwitz check read
 its one spectrum. On an exactly symmetric commuting plant (one verdict per
 plant, which the structure checks share), the closed-form gain's storage
-function X = -A^{-1} E tests the first level before the Hamiltonian does
-(bounded real lemma, sound for any symmetric X). ``certificate_blocks`` builds
+function X = -A^{-1} E tests the level (1 + tol) sigma(0), sampled in real
+arithmetic, before the pole seed is sampled (bounded real lemma, sound for any
+symmetric X). An exactly diagonal E or A, or an E that is exactly I, skips each
+SVD, LU and eigensolve its diagonal decides. ``certificate_blocks`` builds
 every block of a verify report. Every frequency sweep evaluates its grid in
 stacked batches. scipy is imported only at the QZ call sites
 (``rational_stability`` and the denominator clearing it uses, and
@@ -130,9 +132,10 @@ class _GramSigma:
     C^T C is formed once, at first use, and the norm's Hamiltonian reads it
     too; a loop that fails the pole test never forms it.
     The value at w = 0 is kept: the norm's seed and sigma0 at omega0 = 0
-    both read it. An array of w is evaluated one sample at a time, as one
-    sample of a large loop is already a large solve. An exactly singular
-    jwI - A is a pole on the axis, as in eval_closed_rational.
+    both read it, and it is sampled in real arithmetic (-A, not 0j I - A). An
+    array of w is evaluated one sample at a time, as one sample of a large loop
+    is already a large solve. An exactly singular jwI - A is a pole on the axis,
+    as in eval_closed_rational.
     """
 
     def __init__(self, loop: StateSpace):
@@ -155,7 +158,7 @@ class _GramSigma:
 
     def _sample(self, w) -> float:
         try:
-            X = np.linalg.solve(1j * w * self._eye - self.A, self.B)
+            X = np.linalg.solve(-self.A if w == 0.0 else 1j * w * self._eye - self.A, self.B)
         except np.linalg.LinAlgError:
             raise PoleOnAxisError(f"jwI - A is singular at omega={w:g}; pole on the axis") from None
         return math.sqrt(max(float(np.linalg.eigvalsh(X.conj().T @ self.CtC @ X)[-1]), 0.0))
@@ -215,8 +218,10 @@ def hinf_norm_ss(
     the best sample evaluated, where sigma_max = lb >= norm / (1 + tol / 2).
     ``sigma`` is the loop's evaluator from ``_route``, for a caller that evaluates the
     loop as well. The Hurwitz check and the pole seed read ``ss.poles``, which a pole
-    test on the same loop has computed. Given a storage function, ``_bounds_norm`` tests
-    the first gamma in n x n and, if it holds, returns the Hamiltonian's no-crossing result.
+    test on the same loop has computed. Given a storage function, ``_bounds_norm`` first
+    tests gamma = (1 + tol) sigma(0) in n x n; if it holds, sigma(0) <= norm <= gamma and
+    ((1 + tol / 2) sigma(0), 0) is returned with no pole seed sampled. If it fails, the
+    seed and the level sets run as without it.
     """
     A, B, D = ss.A, ss.B, ss.D
     if D.any():
@@ -227,18 +232,19 @@ def hinf_norm_ss(
             f"state matrix is not Hurwitz (abscissa {eigs.real.max():.3e})"
         )
     smax = _GramSigma(ss) if sigma is None else sigma
-    BBt, CtC = B @ B.T, smax.CtC
+    CtC, lb = smax.CtC, smax(0.0)
+    if storage is not None and lb > 0.0 and _bounds_norm(ss, storage, CtC, (1.0 + tol) * lb):
+        return NormResult(float((1.0 + 0.5 * tol) * lb), 0.0)
 
     # Seed at w = 0 and at the pole most likely to carry a resonant peak.
     if np.any(eigs.imag):
         w_pole = abs(eigs[np.argmax(np.abs(eigs.imag / eigs.real) / np.abs(eigs))])
     else:
         w_pole = np.abs(eigs).min()
-    lb, w_best = max((smax(w), w) for w in (0.0, float(w_pole)))
+    lb, w_best = max((lb, 0.0), (smax(float(w_pole)), float(w_pole)))
     if lb == 0.0:
         return NormResult(0.0, 0.0)
-    if storage is not None and _bounds_norm(ss, storage, CtC, (1.0 + tol) * lb):
-        return NormResult(float((1.0 + 0.5 * tol) * lb), w_best)
+    BBt = B @ B.T
 
     for _ in range(NORM_ITER_MAX):
         gamma = (1.0 + tol) * lb
@@ -647,7 +653,8 @@ def symmetric_commuting_check(plant: DescriptorPlant) -> SymmetryReport:
     When all five flags hold, the descriptor gain is optimal with peak at
     zero and no frequency sweep is needed to certify it. A residue E - E^T,
     A - A^T or E A - A E that is exactly zero passes with no norm taken;
-    ||E|| and ||A|| are taken only if some residue is nonzero.
+    ||E|| and ||A|| are taken only if some residue is nonzero. The definiteness
+    of an exactly diagonal E or A is read from its diagonal's signs, not eigvalsh.
     """
     E, A, flags = plant.E, plant.A, [True] * 3
     if not _exactly_symmetric_commuting(plant):
@@ -656,8 +663,13 @@ def symmetric_commuting_check(plant: DescriptorPlant) -> SymmetryReport:
         caps = (1e-12 * max(ne, 1e-300), 1e-12 * max(na, 1e-300), 1e-10 * max(ne * na, 1e-300))
         flags = [not r.any() or spectral_norm(r) <= cap for r, cap in zip(residues, caps)]
     sym_e, sym_a, commuting = flags
-    pd_e = bool(sym_e and np.linalg.eigvalsh(0.5 * (E + E.T))[0] > 0)
-    nd_a = bool(sym_a and np.linalg.eigvalsh(0.5 * (A + A.T))[-1] < 0)
+
+    def eig(M, i):  # eigenvalue i, ascending, of M's symmetric part
+        diag = linalg._exactly_diagonal(M)
+        return np.sort(M.diagonal())[i] if diag else np.linalg.eigvalsh(0.5 * (M + M.T))[i]
+
+    pd_e = bool(sym_e and eig(E, 0) > 0)
+    nd_a = bool(sym_a and eig(A, -1) < 0)
     return SymmetryReport(sym_e, pd_e, sym_a, nd_a, commuting)
 
 

@@ -29,6 +29,7 @@ from hinfkit import (
 )
 from hinfkit.cli import EXIT_OK, _parse, _resolve, main
 from hinfkit.sysmodel import close_loop
+from hinfkit.verify import NORM_RTOL, _GramSigma
 from conftest import asym_chain, random_buffer
 from test_golden import MODELS
 from test_verify import ROOMS
@@ -39,13 +40,13 @@ except ImportError:  # pragma: no cover
     import numpy.linalg.linalg as numpy_linalg
 
 
-def count_calls(monkeypatch, name):
-    """The shapes of the first argument of every np.linalg.<name> call from now on."""
+def count_calls(monkeypatch, name, key=np.shape):
+    """key (the shape) of the first argument of every np.linalg.<name> call from now on."""
     shapes = []
     real = getattr(np.linalg, name)
 
     def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
+        shapes.append(key(a))
         return real(a, *args, **kwargs)
 
     for module in (np.linalg, numpy_linalg):
@@ -121,6 +122,69 @@ def test_buffer_verify_runs_at_most_three_svds(tmp_path, monkeypatch):
     assert len(svds) <= 3
 
 
+def test_buffer_verify_runs_no_svd(tmp_path, monkeypatch):
+    # A is diagonal and E = I: rcond(A), rcond(E) and ||A|| read their diagonals.
+    model = tmp_path / "buffer50.model"
+    model.write_text(json.dumps(buffer_doc(50)))
+    svds = count_calls(monkeypatch, "svd")
+    assert main(["verify", str(model), "--out", str(tmp_path / "report.json")]) == EXIT_OK
+    assert svds == []
+
+
+def test_close_loop_runs_no_solve_when_E_is_exactly_identity(monkeypatch):
+    net = random_buffer(np.random.default_rng(1), 20)
+    buffer, rooms = compile_buffer(net), compile_network(ROOMS)
+    buffer_gain, rooms_gain = buffer_law(net), descriptor_gain(rooms)
+    solves = count_calls(monkeypatch, "solve")
+    close_loop(buffer, buffer_gain)
+    assert solves == []
+    # Diagonal masses E != I keep both solves: X / d is not solve(diag(d), X) bitwise.
+    close_loop(rooms, rooms_gain)
+    assert solves == [(2, 2)] * 2
+
+
+def test_storage_certificate_samples_sigma_at_zero_only(monkeypatch):
+    # The storage test at (1 + tol) sigma(0) holds, so the pole seed is never
+    # sampled, and sigma(0) takes a real solve.
+    net = random_buffer(np.random.default_rng(1), 50)
+    samples, real = [], _GramSigma._sample
+
+    def sample(self, w):
+        samples.append(w)
+        return real(self, w)
+
+    monkeypatch.setattr(_GramSigma, "_sample", sample)
+    solves = count_calls(monkeypatch, "solve", key=lambda a: np.asarray(a).dtype)
+    cert = certify_optimality(compile_buffer(net).to_rational(), buffer_law(net))
+    assert cert.verdict == "optimal"
+    assert samples == [0.0]
+    assert solves and set(solves) == {np.dtype(np.float64)}
+
+
+class _RaisedOffZero(_GramSigma):
+    """sigma_max off w = 0 raised to (1 + NORM_RTOL / 2) sigma(0), as if a pole peak sat there."""
+
+    def _sample(self, w):
+        value = super()._sample(w)
+        return value if w == 0.0 else max(value, (1.0 + 0.5 * NORM_RTOL) * self(0.0))
+
+
+def test_storage_test_before_the_pole_seed_reads_sigma_at_zero():
+    # sigma(0) < sigma(w_pole) <= (1 + tol) sigma(0): the storage test holds at
+    # (1 + tol) sigma(0), so the norm is read at w = 0 and w_pole is not sampled.
+    net = random_buffer(np.random.default_rng(1), 20)
+    desc = compile_buffer(net)
+    loop = close_loop(desc, buffer_law(net))
+    storage = -np.linalg.solve(desc.A, desc.E)
+    sigma0, w_pole = _GramSigma(loop)(0.0), float(np.abs(loop.poles).min())
+    assert sigma0 < _RaisedOffZero(loop)(w_pole) <= (1.0 + NORM_RTOL) * sigma0
+    norm = hinf_norm_ss(loop, sigma=_RaisedOffZero(loop), storage=storage)
+    assert norm == ((1.0 + 0.5 * NORM_RTOL) * sigma0, 0.0)
+    hamiltonian = hinf_norm_ss(loop, sigma=_RaisedOffZero(loop))
+    assert hamiltonian.peak_frequency == w_pole
+    assert abs(norm.norm - hamiltonian.norm) <= NORM_RTOL * hamiltonian.norm
+
+
 @pytest.mark.parametrize("name", ["line_buffer", "buffer20", "ring", "three_state"])
 def test_symmetric_check_takes_no_norm_of_exact_zeros(name, tmp_path, monkeypatch):
     path = tmp_path / f"{name}.model"
@@ -139,13 +203,14 @@ def test_symmetric_check_on_random_buffer_takes_no_svd(monkeypatch):
 
 
 def test_symmetric_check_on_rooms_takes_norms_only_for_the_commutator(monkeypatch):
-    # Unequal masses: E A != A E, so ||E||, ||A|| and ||E A - A E|| are taken;
-    # the two symmetry residues are exactly zero and take none.
+    # Unequal masses: E A != A E, so ||A|| and ||E A - A E|| are taken, and ||E||
+    # of the diagonal masses is read from E's diagonal; the two symmetry residues
+    # are exactly zero and take none.
     plant = compile_network(ROOMS)
     svds = count_calls(monkeypatch, "svd")
     report = symmetric_commuting_check(plant)
     assert (report.symmetric_E, report.symmetric_A, report.commuting) == (True, True, False)
-    assert svds == [(2, 2)] * 3
+    assert svds == [(2, 2)] * 2
 
 
 def reference_flags(E, A):
