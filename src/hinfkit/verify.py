@@ -19,11 +19,12 @@ function X = -A^{-1} E tests the level (1 + tol) sigma(0), sampled in real
 arithmetic, before the pole seed is sampled (bounded real lemma, sound for any
 symmetric X). An exactly diagonal E or A, or an E that is exactly I, skips each
 SVD, LU and eigensolve its diagonal decides. ``certificate_blocks`` builds
-every block of a verify report. Every frequency sweep evaluates its grid in
-stacked batches. scipy is imported only at the QZ call sites
-(``rational_stability`` and the denominator clearing it uses, and
-``linalg.generalized_eigenvalues`` when cond(E) >= 1e8): buffer, irrigation
-and thermal commands never load it.
+every block of a verify report. With cond(E) < 1e8, the bound and the zero-peak
+check sweep only if one Hamiltonian level test fails to prove a peak at w = 0.
+Every frequency sweep evaluates its grid in stacked batches. scipy is imported
+only at the QZ call sites (``rational_stability`` and the denominator clearing
+it uses, and ``linalg.generalized_eigenvalues`` when cond(E) >= 1e8): buffer,
+irrigation and thermal commands never load it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from . import freqgrid, linalg, synth
 from .exceptions import (
     DimensionError,
     InvalidInputError,
+    ModelError,
     NumericalError,
     PoleAtEvaluationError,
     PoleOnAxisError,
@@ -120,10 +122,22 @@ def pencil_stability(
     return StabilityResult(abscissa < -margin, abscissa)
 
 
-def _imag_axis_frequencies(H: np.ndarray) -> np.ndarray:
+def _level_candidates(H: np.ndarray) -> np.ndarray:
+    """Frequencies of H's near-axis eigenvalues, then the midpoints between them: where a
+    level's Hamiltonian H places its crossings, and a sample between any two of them."""
     ev = np.linalg.eigvals(H)
     on_axis = np.abs(ev.real) <= AXIS_RTOL * np.maximum(1.0, np.abs(ev))
-    return np.unique(np.abs(ev[on_axis].imag))
+    freqs = np.unique(np.abs(ev[on_axis].imag))
+    return np.concatenate((freqs, 0.5 * (freqs[1:] + freqs[:-1])))
+
+
+def _below_level(H: np.ndarray, sample: Callable, level: float) -> bool:
+    """Whether ``sample`` stays below ``level`` at w = 0 and at each ``_level_candidates(H)``, so
+    the level is crossed nowhere; a sample that raises or is NaN counts as reaching it."""
+    try:
+        return bool(np.all(sample(np.append(0.0, _level_candidates(H))) < level))
+    except (ModelError, np.linalg.LinAlgError):
+        return False
 
 
 class _GramSigma:
@@ -248,8 +262,7 @@ def hinf_norm_ss(
 
     for _ in range(NORM_ITER_MAX):
         gamma = (1.0 + tol) * lb
-        freqs = _imag_axis_frequencies(np.block([[A, BBt / gamma**2], [-CtC, -A.T]]))
-        cand = np.concatenate((freqs, 0.5 * (freqs[1:] + freqs[:-1])))
+        cand = _level_candidates(np.block([[A, BBt / gamma**2], [-CtC, -A.T]]))
         best, w = max(((smax(x), x) for x in cand), default=(0.0, 0.0))
         # No crossing at gamma, or only near-axis eigenvalues of a level
         # above the peak: gamma bounds the norm from above.
@@ -325,8 +338,22 @@ def _bound_function(plant: RationalPlant, Qp: np.ndarray | None) -> Callable:
     return f
 
 
+def _bound_peaks_at_zero(desc: DescriptorPlant, f: Callable, value: float, top: float) -> bool:
+    """Whether lambda_min(S(w)) > c = (1 - 2 TIE_RTOL) / f(0)^2 at every w. c is an eigenvalue of
+    S(w) exactly when jw is one of diag(E, E^T)^-1 [[A, cI - B B^T], [-I, -A^T]]. No grid sample
+    is singular if c > 2 RANK_RTOL norm_top, as norm_top >= ||S(w)|| at every w <= top."""
+    E, A, B, n = desc.E, desc.A, desc.B, desc.n
+    c = (1.0 - 2.0 * freqgrid.TIE_RTOL) / value**2
+    norm_top = (top * np.linalg.norm(E) + np.linalg.norm(A)) ** 2 + np.linalg.norm(B) ** 2
+    if c <= 2.0 * RANK_RTOL * norm_top:
+        return False
+    H = np.vstack((np.linalg.solve(E, np.hstack((A, c * np.eye(n) - B @ B.T))),
+                   -np.linalg.solve(E.T, np.hstack((np.eye(n), A.T)))))
+    return _below_level(H, f, 1.0 / math.sqrt(c))
+
+
 def _sup_bound(plant: RationalPlant, Qp: np.ndarray | None, grid) -> BoundResult:
-    f = _bound_function(plant, Qp)
+    f, desc = _bound_function(plant, Qp), plant.descriptor
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if f.nondecreasing and grid.size:
         # With t = w^2, lambda_min(S) is concave and lambda_max convex in t, so their
@@ -338,6 +365,11 @@ def _sup_bound(plant: RationalPlant, Qp: np.ndarray | None, grid) -> BoundResult
             return BoundResult(value, lo)
         except SingularMatrixError:
             pass  # the sweep raises at the first singular sample
+    elif desc is not None and Qp is None and desc.rcond_E > 1.0 / REDUCTION_COND_MAX \
+            and grid.size and grid[0] == 0.0:
+        value = float(f(0.0))  # the sweep's first sample; a singular S(0) raises as in it
+        if _bound_peaks_at_zero(desc, f, value, float(np.abs(grid).max())):
+            return BoundResult(value, 0.0)
     res = adaptive_max(f, grid=grid, batched=True)
     return BoundResult(res.value, res.omega)
 
@@ -350,7 +382,9 @@ def lower_bound(plant: RationalPlant, grid=None) -> BoundResult:
     in real arithmetic when F = 0; other plants evaluate M(jw) and N(jw).
     When F = 0 bitwise, S(w) = G + w^2 E E^T only grows with w, so the
     supremum is read at the lowest grid frequency with no sweep; the highest
-    is evaluated too, so that a singular Gram raises as the sweep would.
+    is evaluated too, so that a singular Gram raises as the sweep would. Else, if cond(E)
+    < 1e8 and the grid starts at w = 0, a level test at c = (1 - 2 TIE_RTOL) lambda_min(S(0))
+    may prove lambda_min(S(w)) > c at every w; the w = 0 sample is then the result, no sweep.
     """
     return _sup_bound(plant, None, grid)
 
@@ -563,6 +597,18 @@ class DominanceResult:
         return self.holds
 
 
+def _descriptor_loop_below(plant: DescriptorPlant, level: float) -> bool:
+    """Whether sigma_max(T(jw)) < level^{-1/2} at every w, T the loop of K = B^T A^{-T}: an
+    L-infinity level test, which needs no stability. False if level <= 0, cond(E) >= 1e8 or
+    a pole is on the axis."""
+    if level <= 0.0 or plant.rcond_E <= 1.0 / REDUCTION_COND_MAX:
+        return False
+    loop = close_loop(plant, synth.descriptor_gain(plant))
+    sigma, gamma = _GramSigma(loop), level**-0.5
+    H = np.block([[loop.A, loop.B @ loop.B.T / gamma**2], [-sigma.CtC, -loop.A.T]])
+    return _below_level(H, sigma, gamma)
+
+
 def zero_peak_inequality(plant: DescriptorPlant, grid=None) -> DominanceResult:
     """Check w^2 F G^{-1} F^T + j w (F^T - F) + G >= ||G^{-1}||^{-1} I for all w.
 
@@ -573,6 +619,9 @@ def zero_peak_inequality(plant: DescriptorPlant, grid=None) -> DominanceResult:
     (E, A, B); beyond the crossover where the quadratic term dominates the linear one, the
     inequality holds automatically and sampling stops (tail rule). A singular F restricts
     the tail argument to the complement of its kernel and extends the grid to 1e6 instead.
+    ``checked_up_to`` and ``tail_rule`` describe that grid. If it starts at w = 0 and cond(E) < 1e8,
+    a level test first asks if sigma_max(T_K(jw)) < (lambda_min(G) - 1e-9 lambda_max(G))^{-1/2},
+    the allowance, at every w; if so, the check holds with the w = 0 sample and no sweep.
     """
     E, A, B = plant.E, plant.A, plant.B
     F = E @ A.T
@@ -592,11 +641,7 @@ def zero_peak_inequality(plant: DescriptorPlant, grid=None) -> DominanceResult:
         hi = max(freqgrid.GRID_MAX, w_tail)
         tail_rule = "full"
     else:
-        positive = lam_f[lam_f > tiny]
-        if positive.size:
-            tail_rule = "subspace"
-        else:
-            tail_rule = "none"
+        tail_rule = "subspace" if (lam_f > tiny).any() else "none"
         hi = 1e6
 
     if grid is None:
@@ -608,9 +653,14 @@ def zero_peak_inequality(plant: DescriptorPlant, grid=None) -> DominanceResult:
         H = (w * w) * FGF + (1j * w) * skew + G - thresh * eye
         return np.linalg.eigvalsh(H)[..., 0]
 
-    res = adaptive_min(lambda w: freqgrid.chunked(min_eig, w, 32 * G.size), grid=grid, batched=True)
+    allowance = -1e-9 * float(lam_g[-1])
+    if grid[0] == 0.0 and _descriptor_loop_below(plant, thresh + allowance):
+        res = freqgrid.PeakResult(float(min_eig(np.zeros(1))[0]), 0.0)
+    else:
+        res = adaptive_min(lambda w: freqgrid.chunked(min_eig, w, 32 * G.size),
+                           grid=grid, batched=True)
     return DominanceResult(
-        holds=res.value >= -1e-9 * float(lam_g[-1]),
+        holds=res.value >= allowance,
         min_eigenvalue=res.value,
         omega_at_min=res.omega,
         checked_up_to=float(np.max(grid)),

@@ -164,7 +164,7 @@ ZERO_PEAK_PLANTS = {
 
 
 def zero_peak_evaluator(plant):
-    """(evaluator, grid) that zero_peak_inequality hands to adaptive_min."""
+    """(evaluator, grid) that zero_peak_inequality hands to adaptive_min, its level test off."""
     seen = []
     inner = verify.adaptive_min
 
@@ -172,7 +172,8 @@ def zero_peak_evaluator(plant):
         seen.append((f, grid, batched))
         return inner(f, grid=grid, batched=batched)
 
-    with mock.patch.object(verify, "adaptive_min", spy):
+    with mock.patch.object(verify, "adaptive_min", spy), \
+            mock.patch.object(verify, "_descriptor_loop_below", lambda *args: None):
         verify.zero_peak_inequality(plant)
     (f, grid, batched), = seen
     assert batched
@@ -307,8 +308,9 @@ def test_large_cascade_bound_stays_within_the_stack_budget():
     plant = compile_irrigation(NetworkModel("irrigation", 100, [], pools))[0].to_rational()
     grid = default_grid(points=40)
 
-    def peak_of(budget):
-        with mock.patch.object(freqgrid, "STACK_BYTES", budget):
+    def peak_of(budget):  # the sweep's peak: the level test at w = 0 is off
+        with mock.patch.object(freqgrid, "STACK_BYTES", budget), \
+                mock.patch.object(verify, "_bound_peaks_at_zero", lambda *args: None):
             tracemalloc.start()
             try:
                 bound = verify.lower_bound(plant, grid)

@@ -24,13 +24,19 @@ from hinfkit import (
     compile_network,
     descriptor_gain,
     hinf_norm_ss,
+    lower_bound,
     spectral_norm,
     symmetric_commuting_check,
+    weighted_lower_bound,
+    zero_peak_inequality,
 )
 from hinfkit.cli import EXIT_OK, _parse, _resolve, main
+from hinfkit.exceptions import SingularMatrixError
+from hinfkit.freqgrid import default_grid
 from hinfkit.sysmodel import close_loop
 from hinfkit.verify import NORM_RTOL, _GramSigma
 from conftest import asym_chain, random_buffer
+from test_batched import rotations
 from test_golden import MODELS
 from test_verify import ROOMS
 
@@ -290,3 +296,102 @@ def test_one_verify_decides_the_exact_structure_once(doc, formed, tmp_path, monk
     monkeypatch.setattr(DescriptorPlant, "to_rational", to_rational)
     assert main(["verify", str(model), "--out", str(tmp_path / "report.json")]) == EXIT_OK
     assert [int(plant.E.formed) for plant in plants] == [formed]
+
+
+# ---------------------------------------------------------------------------
+# the peak at w = 0 proved by one level test
+
+
+def sweeps(monkeypatch):
+    """Names of every adaptive_max and adaptive_min call of the certificate module from now on."""
+    calls = []
+    for name in ("adaptive_max", "adaptive_min"):
+        def counted(*args, _real=getattr(hinfkit.verify, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(hinfkit.verify, name, counted)
+    return calls
+
+
+def level_tests(monkeypatch):
+    """(name, result) of every level test at w = 0 from now on."""
+    seen = []
+    for name in ("_bound_peaks_at_zero", "_descriptor_loop_below"):
+        def spy(*args, _real=getattr(hinfkit.verify, name), _name=name):
+            seen.append((_name, _real(*args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(hinfkit.verify, name, spy)
+    return seen
+
+
+NONSYMMETRIC_DOCS = {
+    "irrigation3": {"format": 1, "kind": "network", "network_kind": "irrigation", "nodes": 3,
+                    "params": CASCADE3.params},
+    "rooms": MODELS["rooms"],
+    "ring": {"format": 1, "kind": "network", "network_kind": "circulant", "nodes": 0,
+             "params": {"row": [-3.0, 1.5, 0.0, 0.5]}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONSYMMETRIC_DOCS))
+def test_nonsymmetric_verify_runs_no_sweep(name, tmp_path, monkeypatch):
+    # F != 0 and the symmetric check fails, so the bound and the zero-peak check
+    # both run; each level test proves its peak at w = 0.
+    model, out = tmp_path / f"{name}.model", tmp_path / "report.json"
+    model.write_text(json.dumps(NONSYMMETRIC_DOCS[name]))
+    seen, calls = level_tests(monkeypatch), sweeps(monkeypatch)
+    assert main(["verify", str(model), "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["checks"]["fallback"]["zero_peak_inequality"]["omega_at_min"] == 0.0
+    assert report["certificate"]["details"]["lower_bound_frequency"] == 0.0
+    assert sorted(seen) == [("_bound_peaks_at_zero", True), ("_descriptor_loop_below", True)]
+    assert calls == []
+
+
+@pytest.mark.parametrize("plant", [
+    DescriptorPlant(np.eye(2), [[-0.1, 5.0], [-5.0, -0.1]], 0.01 * np.eye(2)),
+    DescriptorPlant(np.eye(2), [[-1e-5, 2.37], [-2.37, -1e-5]], [[1e-5], [0.0]]),  # item 3
+], ids=["rotational", "item3"])
+def test_peak_away_from_zero_still_sweeps(plant, monkeypatch):
+    with monkeypatch.context() as off:
+        off.setattr(hinfkit.verify, "_bound_peaks_at_zero", lambda *args: None)
+        off.setattr(hinfkit.verify, "_descriptor_loop_below", lambda *args: None)
+        expect = (lower_bound(plant.to_rational()), zero_peak_inequality(plant))
+    seen, calls = level_tests(monkeypatch), sweeps(monkeypatch)
+    bound, peak = lower_bound(plant.to_rational()), zero_peak_inequality(plant)
+    assert (bound, peak) == expect and bound.omega > 1.0 and not peak.holds
+    assert seen == [("_bound_peaks_at_zero", False), ("_descriptor_loop_below", False)]
+    assert calls == ["adaptive_max", "adaptive_min"]
+
+
+def test_bound_crossed_at_a_singular_sample_keeps_the_sweeps_error(monkeypatch):
+    # S(w) is singular at w = 1 and w = 100: the candidates there raise, so the
+    # sweep runs and names w = 1, its first singular sample in grid order.
+    seen, calls = level_tests(monkeypatch), sweeps(monkeypatch)
+    with pytest.raises(SingularMatrixError, match="omega=1;"):
+        lower_bound(rotations(100.0, 1.0))
+    assert seen == [("_bound_peaks_at_zero", False)]
+    assert calls == ["adaptive_max"]
+
+
+@pytest.mark.parametrize("E", [np.diag([1.0, 0.0]), np.diag([1.0, 1e-9])], ids=["singular_E", "cond_E_1e9"])
+def test_ill_conditioned_E_sweeps(E, monkeypatch):
+    # F != 0; neither level test applies below rcond(E) = 1e-8.
+    plant = DescriptorPlant(E, [[-1.0, 0.0], [1.0, -2.0]], [[1.0], [0.0]])
+    seen, calls = level_tests(monkeypatch), sweeps(monkeypatch)
+    lower_bound(plant.to_rational())
+    zero_peak_inequality(plant)
+    assert seen == [("_descriptor_loop_below", False)]
+    assert calls == ["adaptive_max", "adaptive_min"]
+
+
+def test_bound_off_zero_grid_or_weighted_sweeps(monkeypatch):
+    plant = compile_irrigation(CASCADE3)[0].to_rational()
+    seen, calls = level_tests(monkeypatch), sweeps(monkeypatch)
+    lower_bound(plant, grid=default_grid()[1:])
+    weighted_lower_bound(plant, np.diag([1.0, 2.0, 3.0, 1.0, 2.0, 3.0]))
+    zero_peak_inequality(plant.descriptor, grid=default_grid()[1:])
+    assert seen == []
+    assert calls == ["adaptive_max", "adaptive_max", "adaptive_min"]
