@@ -58,6 +58,9 @@ class AreProblem:
         for name, m in (("A", self.A), ("B1", self.B1), ("B2", self.B2), ("C1", self.C1)):
             _require_finite(m, name)
         self._check_stabilizable()
+        # The level-independent blocks; are_feasible writes R into a copy of _H.
+        self._B1B1, self._B2B2 = self.B1 @ self.B1.T, self.B2 @ self.B2.T
+        self._H = np.block([[self.A, np.zeros((n, n))], [-self.C1.T @ self.C1, -self.A.T]])
 
     def _check_stabilizable(self):
         # Eigenvector form of the PBH test on closed-right-half-plane modes:
@@ -92,10 +95,10 @@ def are_feasible(problem: AreProblem, gamma: float):
     """
     if gamma <= 0:
         raise InvalidInputError("gamma must be positive")
-    A, B1, B2, C1 = problem.A, problem.B1, problem.B2, problem.C1
+    A, B2 = problem.A, problem.B2
     n = A.shape[0]
-    R = (B1 @ B1.T) / gamma**2 - B2 @ B2.T
-    H = np.block([[A, R], [-C1.T @ C1, -A.T]])
+    H = problem._H.copy()
+    H[:n, n:] = problem._B1B1 / gamma**2 - problem._B2B2
     lam, V = np.linalg.eig(H)
     if np.any(np.abs(lam.real) <= BOUNDARY_RTOL * np.maximum(1.0, np.abs(lam))):
         return None

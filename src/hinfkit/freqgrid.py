@@ -4,10 +4,12 @@ All sweeps are one-sided (omega >= 0): every plant handled here has real
 data, so responses are even in omega. A sweep evaluates the whole grid in
 one batched call, which stacks the per-frequency matrices and hands them to
 numpy's stacked eigvalsh, solve and svd; golden-section refinement then
-evaluates one frequency at a time around the eight highest local maxima of
-the grid, whatever their value. A batched evaluator splits large plants
-into chunks whose stacks stay under STACK_BYTES. The reduction (max by
-value, then min by frequency) does not depend on evaluation order.
+searches around the eight highest local maxima of the grid, whatever their
+value. It takes the sequential search's samples and comparisons, but
+evaluates each sample it lacks in one stack with every sample the next few
+steps could need. A batched evaluator splits large plants into chunks whose
+stacks stay under STACK_BYTES. The reduction (max by value, then min by
+frequency) does not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ TIE_RTOL = 1e-9
 # Byte budget of one stacked evaluation: a batched evaluator splits the grid
 # into chunks whose per-sample matrices together stay under it.
 STACK_BYTES = 1 << 22
+
+# Golden steps one refinement call serves: it evaluates the sample a step needs
+# and every sample the next _GOLDEN_DEPTH - 1 steps could need, 2^D - 1 in all.
+_GOLDEN_DEPTH = 4
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -84,23 +90,49 @@ class PeakResult:
     skipped: int = 0       # grid points dropped because of entry poles
 
 
-def _golden_max(f, a, b):
-    """Golden-section maximization on [a, b]; returns (best, midpoint)."""
+def _golden_steps(a, b, c, d):
+    """The (bracket, new sample) pairs after one golden step: fc >= fd, then fc < fd."""
+    c2 = d - _INVPHI * (d - a)
+    d2 = c + _INVPHI * (b - c)
+    return ((a, d, c2, c), c2), ((c, b, d, d2), d2)
+
+
+def _golden_max(f, a, b, depth=_GOLDEN_DEPTH):
+    """Golden-section maximization on [a, b]; returns (best, midpoint).
+
+    ``f`` maps a list of frequencies to their values. The search compares
+    the samples of the sequential search in its order; a sample it does not
+    hold yet is fetched in one call together with every sample the next
+    ``depth - 1`` steps could need. If that stack raises, the sample is
+    evaluated alone, so only a frequency the search visits can raise.
+    """
+
+    def going(s, evaluations):
+        return evaluations < 202 and s[1] - s[0] > PEAK_WINDOW_RTOL * (1.0 + s[1])
+
+    def fetch(state, x, evaluations):
+        xs, level = [x], [(state, x)]
+        for e in range(evaluations, evaluations + depth - 1):
+            level = [t for s, _ in level if going(s, e) for t in _golden_steps(*s)]
+            xs += [w for _, w in level]
+        try:
+            return zip(xs, f(xs))
+        except Exception:
+            if len(xs) == 1:
+                raise
+            return zip([x], f([x]))
+
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    evaluations = 2
-    while evaluations < 202 and b - a > PEAK_WINDOW_RTOL * (1.0 + b):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
+    fc, fd = f([c, d])
+    held, state, evaluations = {}, (a, b, c, d), 2
+    while going(state, evaluations):
+        state, x = _golden_steps(*state)[not fc >= fd]
         evaluations += 1
-    return max(fc, fd), 0.5 * (a + b)
+        if x not in held:
+            held = dict(fetch(state, x, evaluations))
+        fc, fd = (held[x], fc) if fc >= fd else (fd, held[x])
+    return max(fc, fd), 0.5 * (state[0] + state[1])
 
 
 def _pointwise(f):
@@ -128,9 +160,10 @@ def adaptive_max(f, grid=None, batched: bool = False) -> PeakResult:
     isolated frequencies, which skips them; ``kept_samples`` raises it when
     no sample is left. Any other exception propagates.
     The eight highest local maxima of the grid, whatever their value (ties
-    in grid order), are each refined by golden-section search, one
-    frequency per call, until the surrounding bracket is narrower than
-    ``PEAK_WINDOW_RTOL * (1 + omega)``.
+    in grid order), are each refined by golden-section search until the
+    surrounding bracket is narrower than ``PEAK_WINDOW_RTOL * (1 + omega)``.
+    A batched ``f`` gets up to 2^_GOLDEN_DEPTH - 1 refinement samples per
+    call, a scalar one a single sample; the result is the same.
     """
     g = f if batched else _pointwise(f)
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
@@ -141,9 +174,8 @@ def adaptive_max(f, grid=None, batched: bool = False) -> PeakResult:
     local = np.flatnonzero((values >= left) & (values >= right))
     candidates = sorted(local.tolist(), key=lambda i: -values[i])[:8]
 
-    def safe(x):
-        v = float(g(np.array([x]))[0])
-        return -np.inf if math.isnan(v) else v
+    def safe(xs):
+        return [-math.inf if math.isnan(v) else v for v in map(float, g(np.array(xs)))]
 
     best_value = float(values.max())
     refined = []  # (omega, value)
@@ -151,7 +183,7 @@ def adaptive_max(f, grid=None, batched: bool = False) -> PeakResult:
         a, b = omegas[max(i - 1, 0)], omegas[min(i + 1, len(omegas) - 1)]
         if b <= a:  # no bracket: the sample itself already contends
             continue
-        v, mid = _golden_max(safe, a, b)
+        v, mid = _golden_max(safe, a, b, _GOLDEN_DEPTH if batched else 1)
         v = max(v, values[i])
         best_value = max(best_value, v)
         refined.append((mid, v))

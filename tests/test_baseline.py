@@ -11,11 +11,18 @@ from hinfkit import (
     certify_optimality,
     close_loop,
     compile_buffer,
+    compile_irrigation,
+    compile_network,
     gamma_bisect,
     hinf_norm_ss,
     lower_bound,
 )
+from hinfkit import baseline
+from hinfkit.baseline import BOUNDARY_RTOL
+from hinfkit.linalg import RANK_RTOL, rcond
 from conftest import random_buffer
+from test_verify import ROOMS
+from test_work_counts import CASCADE3
 
 SQRT_HALF = 2.0**-0.5
 
@@ -102,3 +109,65 @@ def test_from_descriptor_normalizes_E():
     assert problem.A[0, 0] == pytest.approx(-0.5)
     assert problem.B1[0, 0] == pytest.approx(0.5)
     assert problem.B2[0, 0] == pytest.approx(0.5)
+
+
+def level_test_inline(problem, gamma):
+    """are_feasible with every block of the Hamiltonian formed at the level."""
+    A, B1, B2, C1 = problem.A, problem.B1, problem.B2, problem.C1
+    n = A.shape[0]
+    R = (B1 @ B1.T) / gamma**2 - B2 @ B2.T
+    H = np.block([[A, R], [-C1.T @ C1, -A.T]])
+    lam, V = np.linalg.eig(H)
+    if np.any(np.abs(lam.real) <= BOUNDARY_RTOL * np.maximum(1.0, np.abs(lam))):
+        return None
+    stable = lam.real < 0
+    if int(stable.sum()) != n:
+        return None
+    Vs = V[:, stable]
+    X1, X2 = Vs[:n], Vs[n:]
+    if rcond(X1) <= RANK_RTOL:
+        return None
+    P = np.real(X2 @ np.linalg.inv(X1))
+    P = 0.5 * (P + P.T)
+    lam_p = np.linalg.eigvalsh(P)
+    if lam_p[0] < -1e-8 * max(1.0, lam_p[-1]):
+        return None
+    K = -B2.T @ P
+    if np.linalg.eigvals(A + B2 @ K).real.max() >= 0:
+        return None
+    return P, K
+
+
+def baseline_problems():
+    rng = np.random.default_rng(7)
+    yield AreProblem(A=[[-1.0]], B1=[[1.0]], B2=[[1.0]], C1=[[1.0]])
+    yield AreProblem(A=rng.standard_normal((4, 4)) - 3.0 * np.eye(4), B1=rng.standard_normal((4, 2)),
+                     B2=rng.standard_normal((4, 3)), C1=rng.standard_normal((2, 4)))
+    plants = [DescriptorPlant(np.eye(3), np.diag([-1.0, -3.0, -2.0]),
+                              [[-1.0, 0.0, 0.0], [1.0, 1.0, -1.0], [0.0, 0.0, 1.0]]),
+              compile_buffer(random_buffer(rng, 8)), compile_irrigation(CASCADE3)[0],
+              compile_network(ROOMS)]
+    for plant in plants:
+        yield AreProblem.from_descriptor(plant)
+
+
+@pytest.mark.parametrize("problem", list(baseline_problems()), ids=lambda p: f"n{p.A.shape[0]}")
+def test_preformed_blocks_give_the_inline_level_test_bitwise(problem, monkeypatch):
+    levels = list(np.geomspace(0.05, 50.0, 25))
+    inner = baseline.are_feasible
+
+    def recorded(p, gamma):
+        levels.append(gamma)
+        return inner(p, gamma)
+
+    monkeypatch.setattr(baseline, "are_feasible", recorded)
+    gamma_bisect(problem)
+    monkeypatch.undo()
+    feasible = 0
+    for gamma in levels:
+        got, want = are_feasible(problem, gamma), level_test_inline(problem, gamma)
+        assert (got is None) == (want is None)
+        if got is not None:
+            feasible += 1
+            assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+    assert 0 < feasible < len(levels)

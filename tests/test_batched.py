@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given
 
 from conftest import asym_chain, random_buffer
+from test_golden_section import sequential
 from test_lower_bound import BOUND_SETTINGS, descriptor_plants, without_descriptor
 from test_verify import ROOMS
 from hinfkit import (
@@ -287,17 +288,35 @@ def test_standing_check_names_its_first_violation(grid, message, budget):
 # the sweep itself
 
 
-def test_grid_pass_is_one_call():
+def test_grid_pass_is_one_call(monkeypatch):
+    # The grid is one call; each refinement then takes its first pair in one call
+    # and at most one stack of 2^D - 1 samples per D golden steps.
     plant, _ = RATIONAL_CASES["two_outputs"]
     f = verify._bound_function(plant, None)
-    sizes = []
+    sizes, walks = [], []
+    golden_max = freqgrid._golden_max
 
     def callback(w):
         sizes.append(np.size(w))
         return f(w)
 
+    def safe(x):
+        v = float(f(np.array([x]))[0])
+        return -math.inf if math.isnan(v) else v
+
+    def walk(g, a, b, *depth):
+        walks.append((len(sizes), len(sequential(safe, a, b)[2]) - 2))
+        return golden_max(g, a, b, *depth)
+
+    monkeypatch.setattr(freqgrid, "_golden_max", walk)
     res = adaptive_max(callback, batched=True)
-    assert sizes[0] == GRID.size and set(sizes[1:]) == {1}
+    monkeypatch.undo()
+    depth = freqgrid._GOLDEN_DEPTH
+    assert sizes[0] == GRID.size and walks
+    assert max(sizes[1:]) <= 2**depth - 1
+    ends = [start for start, _ in walks[1:]] + [len(sizes)]
+    for (start, steps), end in zip(walks, ends):
+        assert end - start <= math.ceil(steps / depth) + 1
     assert res == adaptive_max(f)
 
 

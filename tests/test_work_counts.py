@@ -19,10 +19,12 @@ from hinfkit import (
     NetworkModel,
     buffer_law,
     certify_optimality,
+    closed_form_gain,
     compile_buffer,
     compile_irrigation,
     compile_network,
     descriptor_gain,
+    droop_plant,
     hinf_norm_ss,
     lower_bound,
     spectral_norm,
@@ -32,7 +34,7 @@ from hinfkit import (
 )
 from hinfkit.cli import EXIT_OK, _parse, _resolve, main
 from hinfkit.exceptions import SingularMatrixError
-from hinfkit.freqgrid import default_grid
+from hinfkit.freqgrid import adaptive_max, default_grid
 from hinfkit.sysmodel import close_loop
 from hinfkit.verify import NORM_RTOL, _GramSigma
 from conftest import asym_chain, random_buffer
@@ -395,3 +397,22 @@ def test_bound_off_zero_grid_or_weighted_sweeps(monkeypatch):
     zero_peak_inequality(plant.descriptor, grid=default_grid()[1:])
     assert seen == []
     assert calls == ["adaptive_max", "adaptive_max", "adaptive_min"]
+
+
+def test_golden_refinement_calls_on_the_droop_plant():
+    # The golden droop plant's grid norm: 202 grid samples, then 27 golden samples
+    # (the first pair and 25 steps). A batched evaluator takes the pair in one call
+    # and the rest in stacks of up to 15; a scalar one gets one sample per call.
+    plant = droop_plant(2.0, 0.5)
+    f = hinfkit.verify._grid_sigma(plant, closed_form_gain(plant, 2.0))
+    sizes = []
+
+    def counted(w):
+        sizes.append(np.size(w))
+        return f(w)
+
+    stacked = adaptive_max(counted, batched=True)
+    assert sizes == [202, 2] + [15] * 6
+    sizes.clear()
+    assert adaptive_max(counted) == stacked
+    assert sizes == [1] * 229
