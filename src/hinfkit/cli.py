@@ -18,9 +18,9 @@ Each operation does each step once: the parser is built once per process,
 ``main`` reads the model file once (its sha256 is the report's digest) and
 resolves it into its report kind, certification plant (linked to its
 descriptor form, if any) and canonical gain, and the report is written in one
-walk, each 2-D float matrix row by row. verify builds every certificate block;
-freqresp's table takes _route's sigma_max evaluator (verify.sigma_table). The
-CLI parses, refuses, dispatches and writes; compare refuses a singular E. Only synth takes
+walk to a list of pieces, joined once, each 2-D float matrix row by row. verify
+builds every certificate block; freqresp's table takes _route's sigma_max
+evaluator (verify.sigma_table). The CLI parses, refuses, dispatches and writes; compare refuses a singular E. Only synth takes
 --weighted. --tol (>= 0) and --omega0 must be finite, the grid bounds
 finite with 0 < --grid-min < --grid-max, and --points at least 2.
 Malformed generate lists (numbers, i-j edges, i-j:w weights) exit 2, as does a
@@ -247,8 +247,8 @@ def _load_gain(path, omega0) -> Gain:
 _JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _matrix_text(x, pad):
-    """json.dumps(x.tolist(), indent=2) of a 2-D float64 array.
+def _matrix_parts(x, pad, out):
+    """Append json.dumps(x.tolist(), indent=2) of a 2-D float64 array to ``out``, a piece per row.
 
     Exact zeros, most cells of a sparse gain, are the literals 0.0 and -0.0;
     every other cell is float.__repr__, as json writes it. The nonzero and -0.0
@@ -262,39 +262,49 @@ def _matrix_text(x, pad):
     for i, text in zip(nz.tolist(), map(repr, flat[nz].tolist())):
         cells[i] = _JSON_FLOAT.get(text, text)
     sep = f",\n{inner}  "
-    rows = [f"[\n{inner}  " + sep.join(cells[i * c:(i + 1) * c]) + f"\n{inner}]" if c else "[]"
-            for i in range(r)]
-    return f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{pad}]" if rows else "[]"
+    rows = (f"[\n{inner}  {sep.join(cells[i * c:(i + 1) * c])}\n{inner}]" if c else "[]"
+            for i in range(r))
+    out += [f"{',' if i else '['}\n{inner}{row}" for i, row in enumerate(rows)]
+    out.append(f"\n{pad}]" if r else "[]")
 
 
-def _text(x, pad=""):
-    """json.dumps(x, indent=2, sort_keys=True) for str-keyed documents.
+def _parts(x, pad, out):
+    """Append json.dumps(x, indent=2, sort_keys=True) to ``out`` in pieces; str keys only.
 
     ndarrays and numpy scalars become their JSON values as the walk meets
     them, and tuples read as lists. A 2-D float64 array is written by row
-    (``_matrix_text``). Containers that hold no container go to the C
+    (``_matrix_parts``). Containers that hold no container go to the C
     encoder in one call, with the indented item separator; only the
-    nesting above them runs in Python.
+    nesting above them runs in Python, and no piece is copied into its parent.
     """
     if isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64:
-        return _matrix_text(x, pad)
+        return _matrix_parts(x, pad, out)
     x = x.tolist() if isinstance(x, np.ndarray) else x
     inner, nested = pad + "  ", (dict, list, tuple, np.ndarray)
     if isinstance(x, dict) and any(isinstance(v, nested) for v in x.values()):
-        items = (f"{json.dumps(k)}: {_text(v, inner)}" for k, v in sorted(x.items()))
-        s = "{" + (",\n" + inner).join(items) + "}"
+        items, brackets = [(f"{json.dumps(k)}: ", v) for k, v in sorted(x.items())], "{}"
     elif isinstance(x, (list, tuple)) and any(isinstance(v, nested) for v in x):
-        s = "[" + (",\n" + inner).join(_text(v, inner) for v in x) + "]"
+        items, brackets = [("", v) for v in x], "[]"
     else:
         s = json.dumps(x, sort_keys=True, separators=(",\n" + inner, ": "), default=np.generic.item)
-    if isinstance(x, (dict, list, tuple)) and x:
-        s = s[0] + "\n" + inner + s[1:-1] + "\n" + pad + s[-1]
-    return s
+        if isinstance(x, (dict, list, tuple)) and x:
+            s = s[0] + "\n" + inner + s[1:-1] + "\n" + pad + s[-1]
+        return out.append(s)
+    for i, (key, v) in enumerate(items):
+        out.append((",\n" if i else brackets[0] + "\n") + inner + key)
+        _parts(v, inner, out)
+    out.append("\n" + pad + brackets[1])
+
+
+def _text(x, end=""):
+    """json.dumps(x, indent=2, sort_keys=True) + end, str keys only: ``_parts``, joined once."""
+    _parts(x, "", out := [])
+    return "".join(out + [end])
 
 
 def _emit(doc, out_path):
     """Write a report to ``out_path``, or to stdout; text goes as is, documents as JSON."""
-    text = doc if isinstance(doc, str) else _text(doc) + "\n"
+    text = doc if isinstance(doc, str) else _text(doc, "\n")
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

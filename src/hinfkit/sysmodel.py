@@ -9,9 +9,10 @@ exactly to rational ones by filling those tensors with -A, E and B; the
 rational object keeps a link back to its descriptor so that verification
 can use a lower bound that is a precomputed quadratic in frequency and, if
 E passes the rank test (``state_space``), the pencil test and the
-state-space norm. rcond(E) and the exact-structure test are decided once per
-descriptor plant; an exactly diagonal E and A pass that test with no product
-formed. A closed-loop pole on the axis is an exactly singular loop.
+state-space norm. rcond(E), the exact-structure test and G = A A^T + B B^T are
+formed once per plant; exactly diagonal E and A pass that test with no product,
+and their loop under B^T A^{-1} takes its poles from one eigvalsh of G. A
+closed-loop pole on the axis is an exactly singular loop.
 """
 
 from __future__ import annotations
@@ -80,6 +81,11 @@ class DescriptorPlant:
             return False
         diagonal = linalg._exactly_diagonal(E) and linalg._exactly_diagonal(A)
         return diagonal or not (E @ A - A @ E).any()  # diagonal matrices commute exactly
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """A A^T + B B^T, formed once: the bound, the zero-peak check and loop poles read it."""
+        return self.A @ self.A.T + self.B @ self.B.T
 
     @property
     def state_space(self) -> bool:
@@ -294,6 +300,35 @@ class Gain:
         self.omega0 = float(self.omega0)
 
 
+def _symmetric_scale(plant: DescriptorPlant, K: np.ndarray) -> np.ndarray | None:
+    """diag(S), S = (-E A)^{-1/2}, if E and A are exactly diagonal, E_ii A_ii < 0 and K is entry
+    by entry (B / diag(A))^T, the correctly rounded B^T A^{-1}; else None."""
+    E, A, d = plant.E, plant.A, -plant.E.diagonal() * plant.A.diagonal()
+    if linalg._exactly_diagonal(E) and linalg._exactly_diagonal(A) and np.isfinite(d).all() \
+            and (d > 0).all() and (K == (plant.B / A.diagonal()[:, None]).T).all():
+        return 1.0 / np.sqrt(d)
+    return None
+
+
+@dataclass
+class _PlantLoop(StateSpace):
+    """``close_loop``'s loop, which keeps its plant; its poles are computed once, at first use.
+
+    With ``_symmetric_scale``'s S, the loop E^{-1}(A^2 + B B^T)A^{-1} of K = B^T A^{-1} is similar
+    by S E to -S G S, G = ``plant.gram``: one eigvalsh, real and ascending. K's rounding, |dK| <=
+    eps |K|, moves the loop by E^{-1} B dK, and no pole by more than cond(S E) ||E^{-1} B|| ||dK||
+    (Bauer-Fike; cond(S) if E = I). Other loops take np.linalg.eigvals."""
+
+    plant: DescriptorPlant
+
+    @cached_property
+    def poles(self) -> np.ndarray:
+        s = _symmetric_scale(self.plant, self.C[self.plant.n:])
+        if s is None:
+            return np.linalg.eigvals(self.A)
+        return np.linalg.eigvalsh(-(s[:, None] * self.plant.gram * s))
+
+
 def closed_state_matrix(plant: DescriptorPlant, gain: Gain) -> np.ndarray:
     """A + B K on every pencil route: K must fit the plant and must not overflow it."""
     if gain.K.shape != (plant.m, plant.n):
@@ -326,7 +361,7 @@ def close_loop(plant: DescriptorPlant, gain: Gain) -> StateSpace:
         Acl, Bcl = np.linalg.solve(plant.E, AK), np.linalg.solve(plant.E, np.eye(n))
     C = np.vstack([np.eye(n), gain.K])
     D = np.zeros((n + m, n))
-    return StateSpace(Acl, Bcl, C, D)
+    return _PlantLoop(Acl, Bcl, C, D, plant)
 
 
 def eval_closed_rational(plant: RationalPlant, gain: Gain, omega) -> np.ndarray:

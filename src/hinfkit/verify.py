@@ -13,12 +13,13 @@ Hamiltonian level sets if also cond(E) < 1e8, else from a frequency grid.
 sigma_max(T(jw)) evaluator, read by the norm, by sigma_max at the sampled
 frequency and by the CLI's frequency table, ``sigma_table``. On the level-set
 route the loop is closed once; the pole test and the norm's Hurwitz check read
-its one spectrum. On an exactly symmetric commuting plant (one verdict per
+its one spectrum, one eigvalsh of the plant's Gram for diagonal E, A under
+K = B^T A^{-1}. On an exactly symmetric commuting plant (one verdict per
 plant, which the structure checks share), the closed-form gain's storage
 function X = -A^{-1} E tests the level (1 + tol) sigma(0), sampled in real
 arithmetic, before the pole seed is sampled (bounded real lemma, sound for any
 symmetric X). An exactly diagonal E or A, or an E that is exactly I, skips each
-SVD, LU and eigensolve its diagonal decides. ``certificate_blocks`` builds
+SVD, LU and eigensolve its diagonal decides, the LU of X included. ``certificate_blocks`` builds
 every block of a verify report. With cond(E) < 1e8, the bound and the zero-peak
 check sweep only if one Hamiltonian level test fails to prove a peak at w = 0.
 Every frequency sweep evaluates its grid in stacked batches. scipy is imported
@@ -110,8 +111,9 @@ def pencil_stability(
 
     Given the loop's state-space form (``close_loop``), they are its ``poles``:
     eig(E^{-1}(A + B K)), which is the pencil solver's own reduction below
-    cond(E) = 1e8, bit for bit. The abscissa must clear the axis by
-    STABILITY_MARGIN_RTOL ||A||.
+    cond(E) = 1e8, bit for bit, except for diagonal E, A under K = B^T A^{-1},
+    whose poles come from a symmetric similar matrix and may differ by ulps. The
+    abscissa must clear the axis by STABILITY_MARGIN_RTOL ||A||.
     """
     if loop is None:
         ev = generalized_eigenvalues(closed_state_matrix(plant, gain), plant.E)
@@ -193,8 +195,7 @@ def _grid_sigma(plant: RationalPlant, gain: Gain) -> Callable:
         out[kept] = np.linalg.svd(T[kept], compute_uv=False)[:, 0]
         return out
 
-    k, m = plant.k, plant.m
-    return lambda w: freqgrid.chunked(values, w, 16 * k * (4 * k + 2 * m))
+    return freqgrid.stacked(values, 16 * plant.k * (4 * plant.k + 2 * plant.m))
 
 
 def _bounds_norm(ss: StateSpace, Y: np.ndarray, CtC: np.ndarray, gamma: float) -> bool:
@@ -303,7 +304,7 @@ def _bound_function(plant: RationalPlant, Qp: np.ndarray | None) -> Callable:
         # M P M^* + N N^* for M = jwE - A, P = Qp Qp^T or I; real when F = 0.
         E, A, B = desc.E, desc.A, desc.B
         AP, EP = (A, E) if Qp is None else (A @ Qp @ Qp.T, E @ Qp @ Qp.T)
-        EPE, X, G = EP @ E.T, AP @ E.T, AP @ A.T + B @ B.T
+        EPE, X, G = EP @ E.T, AP @ E.T, desc.gram if Qp is None else AP @ A.T + B @ B.T
         F = X - X.T
         skew = F.any()
 
@@ -330,22 +331,25 @@ def _bound_function(plant: RationalPlant, Qp: np.ndarray | None) -> Callable:
             )
         return 1.0 / np.sqrt(lam[..., 0])
 
-    def f(w):
-        return freqgrid.chunked(values, w, sample_bytes)
-
+    f = freqgrid.stacked(values, sample_bytes)
     # With F = 0, S(w) = G + w^2 E P E^T is nondecreasing in the Loewner order.
     f.nondecreasing = desc is not None and not skew
     return f
 
 
+def _norm_top(desc: DescriptorPlant, top: float) -> float:
+    """(top ||E||_F + ||A||_F)^2 + ||B||_F^2 >= ||S(w)|| = ||M M^* + B B^T|| at every |w| <= top."""
+    e, a, b = (np.linalg.norm(X) for X in (desc.E, desc.A, desc.B))
+    return (top * e + a) ** 2 + b**2
+
+
 def _bound_peaks_at_zero(desc: DescriptorPlant, f: Callable, value: float, top: float) -> bool:
     """Whether lambda_min(S(w)) > c = (1 - 2 TIE_RTOL) / f(0)^2 at every w. c is an eigenvalue of
     S(w) exactly when jw is one of diag(E, E^T)^-1 [[A, cI - B B^T], [-I, -A^T]]. No grid sample
-    is singular if c > 2 RANK_RTOL norm_top, as norm_top >= ||S(w)|| at every w <= top."""
+    is singular if c > 2 RANK_RTOL ``_norm_top``."""
     E, A, B, n = desc.E, desc.A, desc.B, desc.n
     c = (1.0 - 2.0 * freqgrid.TIE_RTOL) / value**2
-    norm_top = (top * np.linalg.norm(E) + np.linalg.norm(A)) ** 2 + np.linalg.norm(B) ** 2
-    if c <= 2.0 * RANK_RTOL * norm_top:
+    if c <= 2.0 * RANK_RTOL * _norm_top(desc, top):
         return False
     H = np.vstack((np.linalg.solve(E, np.hstack((A, c * np.eye(n) - B @ B.T))),
                    -np.linalg.solve(E.T, np.hstack((np.eye(n), A.T)))))
@@ -357,11 +361,14 @@ def _sup_bound(plant: RationalPlant, Qp: np.ndarray | None, grid) -> BoundResult
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if f.nondecreasing and grid.size:
         # With t = w^2, lambda_min(S) is concave and lambda_max convex in t, so their
-        # ratio is quasiconcave: the singular test fires on the grid only if at an end.
+        # ratio is quasiconcave: the singular test fires on the grid only if at an end. It
+        # cannot at the top if lambda_min(S(lo)) > 4 RANK_RTOL _norm_top, as lambda_min(S)
+        # grows: 3 RANK_RTOL _norm_top > 1e4 eps _norm_top is left for S's and eigvalsh's rounding.
         lo = float(grid.min())
         try:
             value = float(f(lo))
-            f(float(grid.max()))
+            if Qp is not None or value**-2 <= 4.0 * RANK_RTOL * _norm_top(desc, np.abs(grid).max()):
+                f(float(grid.max()))
             return BoundResult(value, lo)
         except SingularMatrixError:
             pass  # the sweep raises at the first singular sample
@@ -382,7 +389,9 @@ def lower_bound(plant: RationalPlant, grid=None) -> BoundResult:
     in real arithmetic when F = 0; other plants evaluate M(jw) and N(jw).
     When F = 0 bitwise, S(w) = G + w^2 E E^T only grows with w, so the
     supremum is read at the lowest grid frequency with no sweep; the highest
-    is evaluated too, so that a singular Gram raises as the sweep would. Else, if cond(E)
+    is evaluated too, so that a singular Gram raises as the sweep would, unless
+    lambda_min(S) at the lowest exceeds 4 RANK_RTOL times a bound on ||S|| over the
+    grid, so that no sample can read singular. Else, if cond(E)
     < 1e8 and the grid starts at w = 0, a level test at c = (1 - 2 TIE_RTOL) lambda_min(S(0))
     may prove lambda_min(S(w)) > c at every w; the w = 0 sample is then the result, no sweep.
     """
@@ -546,7 +555,10 @@ def certify_optimality(
             res = adaptive_max(smax, grid=grid, batched=True)
             norm, peak = res.value, res.omega
         else:
-            X = -np.linalg.solve(desc.A, desc.E) if _exactly_symmetric_commuting(desc) else None
+            E, A, X = desc.E, desc.A, None  # X = -A^{-1} E, diagonal with A and E, with no LU
+            if _exactly_symmetric_commuting(desc):
+                diagonal = linalg._exactly_diagonal(E) and linalg._exactly_diagonal(A)
+                X = np.diag(-E.diagonal() / A.diagonal()) if diagonal else -np.linalg.solve(A, E)
             norm, peak = hinf_norm_ss(loop, sigma=smax, storage=X)
         try:
             sigma0 = float(smax(gain.omega0))
@@ -623,9 +635,8 @@ def zero_peak_inequality(plant: DescriptorPlant, grid=None) -> DominanceResult:
     a level test first asks if sigma_max(T_K(jw)) < (lambda_min(G) - 1e-9 lambda_max(G))^{-1/2},
     the allowance, at every w; if so, the check holds with the w = 0 sample and no sweep.
     """
-    E, A, B = plant.E, plant.A, plant.B
+    E, A, G = plant.E, plant.A, plant.gram
     F = E @ A.T
-    G = A @ A.T + B @ B.T
     lam_g = np.linalg.eigvalsh(G)
     thresh = float(lam_g[0])  # equals 1 / ||G^{-1}||
     FGF = F @ np.linalg.solve(G, F.T)
@@ -657,8 +668,7 @@ def zero_peak_inequality(plant: DescriptorPlant, grid=None) -> DominanceResult:
     if grid[0] == 0.0 and _descriptor_loop_below(plant, thresh + allowance):
         res = freqgrid.PeakResult(float(min_eig(np.zeros(1))[0]), 0.0)
     else:
-        res = adaptive_min(lambda w: freqgrid.chunked(min_eig, w, 32 * G.size),
-                           grid=grid, batched=True)
+        res = adaptive_min(freqgrid.stacked(min_eig, 32 * G.size), grid=grid, batched=True)
     return DominanceResult(
         holds=res.value >= allowance,
         min_eigenvalue=res.value,

@@ -456,6 +456,32 @@ def test_report_text_writes_matrices_as_json_does(matrix, nest):
     assert _text(doc) == json.dumps(_plain(doc), indent=2, sort_keys=True)
 
 
+# Leaves of a whole report: JSON scalars, numpy scalars, 1-D and 2-D float arrays
+# (0-row and 0-column ones too) and empty containers; tuples read as lists.
+REPORT_LEAVES = st.one_of(
+    SCALARS,
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    hnp.arrays(np.float64, st.sampled_from([(0, 3), (3, 0), (0, 0), (2, 3), (1, 1)]), elements=FLOAT_CELLS),
+    hnp.arrays(np.float64, st.integers(0, 3), elements=FLOAT_CELLS),
+    st.sampled_from([(), [], {}]),
+)
+REPORTS = st.recursive(
+    REPORT_LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=4), st.lists(children, max_size=3).map(tuple),
+                               st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(REPORTS)
+def test_report_writer_is_json_dumps(doc):
+    expect = json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n"
+    assert _text(doc) + "\n" == _text(doc, "\n") == expect
+
+
 def test_buffer_verify_report_is_what_json_writes(tmp_path, monkeypatch):
     net = random_buffer(np.random.default_rng(1), 200)
     model = write(tmp_path / "buffer200.model", {

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hinfkit.linalg
+import hinfkit.sysmodel
 import hinfkit.verify
 from hinfkit import (
     DescriptorPlant,
@@ -68,10 +69,16 @@ def buffer_doc(n, seed=1):
             "edges": [list(e) for e in net.edges], "params": {"a": net.params["a"].tolist()}}
 
 
+def symmetrized(a):
+    """(shape, whether a real matrix with a negative diagonal): the symmetrized loop -S G S is
+    the one such eigvalsh input, as every Gram the certificate decomposes is positive."""
+    return np.shape(a), bool(np.isrealobj(a) and (np.diagonal(a) < 0).all())
+
+
 def test_level_set_certificate_takes_one_closed_loop_spectrum(monkeypatch):
-    # The pole test and the norm's Hurwitz check read one n x n spectrum; the
-    # storage function bounds the norm's first level, so no 2n x 2n Hamiltonian
-    # runs. No pencil solver runs on this route.
+    # The pole test and the norm's Hurwitz check read one n x n spectrum, of the
+    # symmetrized loop; the storage function bounds the norm's first level, so no
+    # 2n x 2n Hamiltonian runs. No pencil solver runs on this route.
     net = random_buffer(np.random.default_rng(1), 50)
     plant, gain = compile_buffer(net).to_rational(), buffer_law(net)
     pencils = []
@@ -84,10 +91,78 @@ def test_level_set_certificate_takes_one_closed_loop_spectrum(monkeypatch):
     monkeypatch.setattr(hinfkit.verify, "generalized_eigenvalues", counted)
     monkeypatch.setattr(hinfkit.linalg, "generalized_eigenvalues", counted)
     eigvals = count_calls(monkeypatch, "eigvals")
+    eigvalsh = count_calls(monkeypatch, "eigvalsh", key=symmetrized)
     cert = certify_optimality(plant, gain)
     assert cert.details["method"] == "state-space" and cert.verdict == "optimal"
-    assert eigvals == [(50, 50)]
+    assert eigvals == []
+    assert [shape for shape, loop in eigvalsh if loop] == [(50, 50)]
     assert pencils == []
+
+
+class _WatchedB(np.ndarray):
+    """The B of one plant: counts B @ B^T, the product every Gram A A^T + B B^T forms."""
+
+    def __matmul__(self, other):
+        if "formed" in vars(self) and isinstance(other, np.ndarray) and np.shares_memory(self, other):
+            self.formed += 1
+        return super().__matmul__(other)
+
+
+def watch_buffer_b(monkeypatch):
+    """The descriptor plants resolved from now on, each B a _WatchedB."""
+    plants, real = [], DescriptorPlant.to_rational
+
+    def to_rational(self):
+        self.B = self.B.view(_WatchedB)
+        self.B.formed = 0
+        plants.append(self)
+        return real(self)
+
+    monkeypatch.setattr(DescriptorPlant, "to_rational", to_rational)
+    return plants
+
+
+def test_buffer_verify_forms_each_dense_step_once(tmp_path, monkeypatch):
+    # A cli verify of an N = 50 buffer: the loop spectrum is one eigvalsh of the
+    # symmetrized loop, with no eigvals; G = A A^T + B B^T is formed once for it and
+    # the bound; the storage function is diagonal, with no solve(A, E); the bound
+    # samples only the grid's low end. The three (50, 50) eigvalsh are the loop, the
+    # bound at w = 0 and sigma(0).
+    model = tmp_path / "buffer50.model"
+    model.write_text(json.dumps(buffer_doc(50)))
+    plants, bound_samples = watch_buffer_b(monkeypatch), []
+    real_bound = hinfkit.verify._bound_function
+
+    def bound_function(*args):
+        f = real_bound(*args)
+        counted = lambda w: bound_samples.append(float(w)) or f(w)  # noqa: E731
+        counted.nondecreasing = f.nondecreasing
+        return counted
+
+    monkeypatch.setattr(hinfkit.verify, "_bound_function", bound_function)
+    eigvals = count_calls(monkeypatch, "eigvals")
+    eigvalsh = count_calls(monkeypatch, "eigvalsh", key=symmetrized)
+    diagonal_solves = count_calls(monkeypatch, "solve", key=hinfkit.linalg._exactly_diagonal)
+    assert main(["verify", str(model), "--out", str(tmp_path / "report.json")]) == EXIT_OK
+    assert eigvals == []
+    assert eigvalsh == [((50, 50), True), ((50, 50), False), ((50, 50), False)]
+    assert [int(plant.B.formed) for plant in plants] == [1]
+    assert True not in diagonal_solves
+    assert bound_samples == [0.0]
+
+
+def test_buffer_freqresp_computes_no_spectrum(tmp_path, monkeypatch):
+    model = tmp_path / "buffer50.model"
+    model.write_text(json.dumps(buffer_doc(50)))
+    plants, spectra = watch_buffer_b(monkeypatch), []
+    monkeypatch.setattr(hinfkit.sysmodel._PlantLoop, "poles",
+                        property(lambda loop: spectra.append(loop) or np.linalg.eigvals(loop.A)))
+    eigvals = count_calls(monkeypatch, "eigvals")
+    eigvalsh = count_calls(monkeypatch, "eigvalsh", key=symmetrized)
+    assert main(["freqresp", str(model), "--out", str(tmp_path / "table.csv")]) == EXIT_OK
+    assert spectra == [] and eigvals == []
+    assert not any(loop for _, loop in eigvalsh)
+    assert [int(plant.B.formed) for plant in plants] == [0]
 
 
 def test_storage_test_failing_falls_back_to_the_hamiltonian(monkeypatch):
