@@ -20,9 +20,10 @@ resolves it into its report kind, certification plant (linked to its
 descriptor form, if any) and canonical gain, and the report is written in one
 walk to a list of pieces, joined once, each 2-D float matrix row by row. verify
 builds every certificate block; freqresp's table takes _route's sigma_max
-evaluator (verify.sigma_table). The CLI parses, refuses, dispatches and writes; compare refuses a singular E. Only synth takes
---weighted. --tol (>= 0) and --omega0 must be finite, the grid bounds
-finite with 0 < --grid-min < --grid-max, and --points at least 2.
+evaluator (verify.sigma_table). The CLI parses, refuses, dispatches and writes;
+compare refuses a singular E. Only synth takes --weighted. --tol (>= 0) and
+--omega0 must be finite, the grid bounds finite with 0 < --grid-min <
+--grid-max, and --points at least 2.
 Malformed generate lists (numbers, i-j edges, i-j:w weights) exit 2, as does a
 model, gain or weight file that is unreadable, not JSON, or has a field of the
 wrong type: one JSON type test (``_is``) reads a number as a JSON int or float,

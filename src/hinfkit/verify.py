@@ -19,9 +19,10 @@ plant, which the structure checks share), the closed-form gain's storage
 function X = -A^{-1} E tests the level (1 + tol) sigma(0), sampled in real
 arithmetic, before the pole seed is sampled (bounded real lemma, sound for any
 symmetric X). An exactly diagonal E or A, or an E that is exactly I, skips each
-SVD, LU and eigensolve its diagonal decides, the LU of X included. ``certificate_blocks`` builds
-every block of a verify report. With cond(E) < 1e8, the bound and the zero-peak
-check sweep only if one Hamiltonian level test fails to prove a peak at w = 0.
+SVD, LU and eigensolve its diagonal decides, the LU of X included.
+``certificate_blocks`` builds every block of a verify report. With cond(E) <
+1e8, the bound and the zero-peak check sweep only if one Hamiltonian level
+test fails to prove a peak at w = 0.
 Every frequency sweep evaluates its grid in stacked batches. scipy is imported
 only at the QZ call sites (``rational_stability`` and the denominator clearing
 it uses, and ``linalg.generalized_eigenvalues`` when cond(E) >= 1e8): buffer,
