@@ -14,7 +14,6 @@ frequency) does not depend on evaluation order.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -62,21 +61,20 @@ def chunks(omegas: np.ndarray, sample_bytes: int) -> list:
     return [omegas[i : i + step] for i in range(0, len(omegas), step)]
 
 
-def chunked(f, omegas, sample_bytes: int):
-    """``f`` over ``omegas`` in grid order, one call per chunk of ``chunks``.
-
-    ``f`` maps a 1-D array of frequencies to an array of values; a scalar
-    frequency goes to ``f`` as it is.
-    """
-    w = np.asarray(omegas, dtype=float)
-    if w.ndim == 0:
-        return f(w)
-    return np.concatenate([f(c) for c in chunks(w, sample_bytes)])
-
-
 def stacked(values, sample_bytes: int):
-    """``chunked`` over ``values``; it carries ``sample_bytes``, which sizes refinement stacks."""
-    f = functools.partial(chunked, values, sample_bytes=sample_bytes)
+    """``values`` as a batched evaluator: one call per chunk of ``chunks``, in grid order.
+
+    ``values`` maps a 1-D array of frequencies to an array of values; a scalar
+    frequency goes to it as it is. The evaluator carries ``sample_bytes``, which
+    also sizes ``adaptive_max``'s refinement stacks.
+    """
+
+    def f(omegas):
+        w = np.asarray(omegas, dtype=float)
+        if w.ndim == 0:
+            return values(w)
+        return np.concatenate([values(c) for c in chunks(w, sample_bytes)])
+
     f.sample_bytes = sample_bytes
     return f
 

@@ -352,13 +352,13 @@ def test_large_cascade_refinement_calls_fit_the_stack_budget(monkeypatch):
     # One bound sample of the 100-pool cascade takes 32 n^2 = 1.28 MB, so golden
     # refinement stacks 2^2 - 1 = 3 samples per call, not 2^4 - 1 = 15 (19 MB).
     plant, grid, calls = large_cascade(), default_grid(points=40), []
-    real = freqgrid.chunked
+    real = freqgrid.chunks
 
-    def chunked(f, omegas, sample_bytes):
+    def chunks(omegas, sample_bytes):
         calls.append((np.size(omegas), sample_bytes))
-        return real(f, omegas, sample_bytes)
+        return real(omegas, sample_bytes)
 
-    monkeypatch.setattr(freqgrid, "chunked", chunked)
+    monkeypatch.setattr(freqgrid, "chunks", chunks)
     monkeypatch.setattr(verify, "_bound_peaks_at_zero", lambda *args: None)  # reach the sweep
     verify.lower_bound(plant, grid)
     refinement = calls[[size for size, _ in calls].index(grid.size) + 1:]
