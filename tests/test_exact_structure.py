@@ -205,8 +205,10 @@ def test_report_does_not_depend_on_the_structure_shortcuts(name, cmd, scale, tmp
     # The symmetric loop spectrum (one eigvalsh for eigvals, on a diagonal plant under
     # K = B^T A^{-1}) is the one shortcut that is not bitwise: it may move each abscissa
     # within spectrum_bound, and nothing else.
-    plant = descriptor(name, tmp_path)
-    K = scale * descriptor_gain(plant).K
+    form = _resolve(_parse(str(model_file(name, tmp_path)))[0])
+    plant, K = form.plant.descriptor, form.gain(0.0).K  # the gain the CLI verifies
+    if scale != 1.0:
+        K = scale * descriptor_gain(plant).K
     allowance = 0.0
     if hinfkit.sysmodel._symmetric_scale(plant, K) is not None:
         allowance = spectrum_bound(plant, K, close_loop(plant, Gain(K)))
