@@ -18,12 +18,11 @@ Each operation does each step once: the parser is built once per process,
 ``main`` reads the model file once (its sha256 is the report's digest) and
 resolves it into its report kind, certification plant (linked to its
 descriptor form, if any) and canonical gain, and the report is written in one
-walk to a list of pieces, joined once, each 2-D float matrix row by row. verify
-builds every certificate block; freqresp's table takes _route's sigma_max
-evaluator (verify.sigma_table). The CLI parses, refuses, dispatches and writes;
-compare refuses a singular E. Only synth takes --weighted. --tol (>= 0) and
---omega0 must be finite, the grid bounds finite with 0 < --grid-min <
---grid-max, and --points at least 2.
+walk to a list of pieces, joined once, each 2-D float matrix row by row. verify builds
+every certificate block; freqresp's table takes _route's sigma_max evaluator
+(verify.sigma_table). The CLI parses, refuses, dispatches and writes; compare refuses a
+singular E. Only synth takes --weighted. --tol (>= 0) and --omega0 must be finite, the
+grid bounds finite with 0 < --grid-min < --grid-max, and --points at least 2.
 Malformed generate lists (numbers, i-j edges, i-j:w weights) exit 2, as does a
 model, gain or weight file that is unreadable, not JSON, or has a field of the
 wrong type: one JSON type test (``_is``) reads a number as a JSON int or float,
@@ -249,7 +248,7 @@ _JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _matrix_parts(x, pad, out):
-    """Append json.dumps(x.tolist(), indent=2) of a 2-D float64 array to ``out``, a piece per row.
+    """Append json.dumps(x.tolist(), indent=2) of a 2-D float64 array to ``out``.
 
     Exact zeros, most cells of a sparse gain, are the literals 0.0 and -0.0;
     every other cell is float.__repr__, as json writes it. The nonzero and -0.0
@@ -263,10 +262,9 @@ def _matrix_parts(x, pad, out):
     for i, text in zip(nz.tolist(), map(repr, flat[nz].tolist())):
         cells[i] = _JSON_FLOAT.get(text, text)
     sep = f",\n{inner}  "
-    rows = (f"[\n{inner}  {sep.join(cells[i * c:(i + 1) * c])}\n{inner}]" if c else "[]"
-            for i in range(r))
-    out += [f"{',' if i else '['}\n{inner}{row}" for i, row in enumerate(rows)]
-    out.append(f"\n{pad}]" if r else "[]")
+    rows = [f"[\n{inner}  {sep.join(cells[i * c:(i + 1) * c])}\n{inner}]" if c else "[]"
+            for i in range(r)]
+    out.append(f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{pad}]" if rows else "[]")
 
 
 def _parts(x, pad, out):
@@ -297,15 +295,15 @@ def _parts(x, pad, out):
     out.append("\n" + pad + brackets[1])
 
 
-def _text(x, end=""):
-    """json.dumps(x, indent=2, sort_keys=True) + end, str keys only: ``_parts``, joined once."""
+def _text(x):
+    """json.dumps(x, indent=2, sort_keys=True), str keys only: ``_parts``, joined once."""
     _parts(x, "", out := [])
-    return "".join(out + [end])
+    return "".join(out)
 
 
 def _emit(doc, out_path):
     """Write a report to ``out_path``, or to stdout; text goes as is, documents as JSON."""
-    text = doc if isinstance(doc, str) else _text(doc, "\n")
+    text = doc if isinstance(doc, str) else _text(doc) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

@@ -7,8 +7,8 @@ numpy's stacked eigvalsh, solve and svd; golden-section refinement then
 searches around the eight highest local maxima of the grid, whatever their
 value. It takes the sequential search's samples and comparisons, but
 evaluates each sample it lacks in one stack with every sample the next few
-steps could need that fits STACK_BYTES. A batched evaluator splits large plants
-into chunks whose stacks stay under STACK_BYTES. The reduction (max by value, then min by
+steps could need. A batched evaluator splits large plants into chunks whose
+stacks stay under STACK_BYTES. The reduction (max by value, then min by
 frequency) does not depend on evaluation order.
 """
 
@@ -37,8 +37,8 @@ TIE_RTOL = 1e-9
 # into chunks whose per-sample matrices together stay under it.
 STACK_BYTES = 1 << 22
 
-# Most golden steps one refinement call serves: it evaluates the sample a step needs
-# and every sample the next D - 1 steps could need, 2^D - 1 in all, in STACK_BYTES.
+# Golden steps one refinement call serves: it evaluates the sample a step needs
+# and every sample the next _GOLDEN_DEPTH - 1 steps could need, 2^D - 1 in all.
 _GOLDEN_DEPTH = 4
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -61,22 +61,16 @@ def chunks(omegas: np.ndarray, sample_bytes: int) -> list:
     return [omegas[i : i + step] for i in range(0, len(omegas), step)]
 
 
-def stacked(values, sample_bytes: int):
-    """``values`` as a batched evaluator: one call per chunk of ``chunks``, in grid order.
+def chunked(f, omegas, sample_bytes: int):
+    """``f`` over ``omegas`` in grid order, one call per chunk of ``chunks``.
 
-    ``values`` maps a 1-D array of frequencies to an array of values; a scalar
-    frequency goes to it as it is. The evaluator carries ``sample_bytes``, which
-    also sizes ``adaptive_max``'s refinement stacks.
+    ``f`` maps a 1-D array of frequencies to an array of values; a scalar
+    frequency goes to ``f`` as it is.
     """
-
-    def f(omegas):
-        w = np.asarray(omegas, dtype=float)
-        if w.ndim == 0:
-            return values(w)
-        return np.concatenate([values(c) for c in chunks(w, sample_bytes)])
-
-    f.sample_bytes = sample_bytes
-    return f
+    w = np.asarray(omegas, dtype=float)
+    if w.ndim == 0:
+        return f(w)
+    return np.concatenate([f(c) for c in chunks(w, sample_bytes)])
 
 
 def kept_samples(grid: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,13 +162,10 @@ def adaptive_max(f, grid=None, batched: bool = False) -> PeakResult:
     The eight highest local maxima of the grid, whatever their value (ties
     in grid order), are each refined by golden-section search until the
     surrounding bracket is narrower than ``PEAK_WINDOW_RTOL * (1 + omega)``.
-    A batched ``f`` gets 2^D - 1 refinement samples per call, at most, for the deepest D <=
-    _GOLDEN_DEPTH whose samples, ``f.sample_bytes`` each (or 0), fit STACK_BYTES; a scalar
-    one gets a single sample. The result is the same.
+    A batched ``f`` gets up to 2^_GOLDEN_DEPTH - 1 refinement samples per
+    call, a scalar one a single sample; the result is the same.
     """
     g = f if batched else _pointwise(f)
-    size = getattr(f, "sample_bytes", 0)
-    depth = next((d for d in range(_GOLDEN_DEPTH, 1, -1) if (2**d - 1) * size <= STACK_BYTES), 1)
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     omegas, values = kept_samples(grid, np.asarray(g(grid), dtype=float))
 
@@ -192,7 +183,7 @@ def adaptive_max(f, grid=None, batched: bool = False) -> PeakResult:
         a, b = omegas[max(i - 1, 0)], omegas[min(i + 1, len(omegas) - 1)]
         if b <= a:  # no bracket: the sample itself already contends
             continue
-        v, mid = _golden_max(safe, a, b, depth if batched else 1)
+        v, mid = _golden_max(safe, a, b, _GOLDEN_DEPTH if batched else 1)
         v = max(v, values[i])
         best_value = max(best_value, v)
         refined.append((mid, v))
@@ -206,8 +197,6 @@ def adaptive_max(f, grid=None, batched: bool = False) -> PeakResult:
 
 
 def adaptive_min(f, grid=None, batched: bool = False) -> PeakResult:
-    """Minimize ``f`` via adaptive_max of its negation, which carries ``f``'s sample bytes."""
-    negated = lambda w: -f(w)  # noqa: E731
-    negated.sample_bytes = getattr(f, "sample_bytes", 0)
-    res = adaptive_max(negated, grid=grid, batched=batched)
+    """Minimize ``f`` via adaptive_max of its negation."""
+    res = adaptive_max(lambda w: -f(w), grid=grid, batched=batched)
     return PeakResult(value=-res.value, omega=res.omega, skipped=res.skipped)

@@ -253,6 +253,7 @@ class StateSpace:
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
+    plant: DescriptorPlant | None = None  # close_loop's plant, read by ``poles``
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -271,8 +272,14 @@ class StateSpace:
 
     @cached_property
     def poles(self) -> np.ndarray:
-        """Eigenvalues of A, computed once: the pole test and the norm's Hurwitz check read them."""
-        return np.linalg.eigvals(self.A)
+        """Eigenvalues of A, computed once: the pole test and the norm's Hurwitz check read them.
+        With ``_symmetric_scale``'s S, E^{-1}(A^2 + B B^T)A^{-1}, the loop of K = B^T A^{-1}, is
+        similar by S E to -S G S, G = ``plant.gram``: one eigvalsh. K's rounding |dK| <= eps |K|
+        moves no pole by more than cond(S E) ||E^{-1} B|| ||dK|| (Bauer-Fike)."""
+        s = None if self.plant is None else _symmetric_scale(self.plant, self.C[self.plant.n:])
+        if s is None:
+            return np.linalg.eigvals(self.A)
+        return np.linalg.eigvalsh(-(s[:, None] * self.plant.gram * s))
 
     def transfer(self, omega: float) -> np.ndarray:
         """C (j*omega*I - A)^{-1} B + D."""
@@ -304,29 +311,8 @@ def _symmetric_scale(plant: DescriptorPlant, K: np.ndarray) -> np.ndarray | None
     """diag(S), S = (-E A)^{-1/2}, if E and A are exactly diagonal, E_ii A_ii < 0 and K is entry
     by entry (B / diag(A))^T, the correctly rounded B^T A^{-1}; else None."""
     E, A, d = plant.E, plant.A, -plant.E.diagonal() * plant.A.diagonal()
-    if linalg._exactly_diagonal(E) and linalg._exactly_diagonal(A) and np.isfinite(d).all() \
-            and (d > 0).all() and (K == (plant.B / A.diagonal()[:, None]).T).all():
-        return 1.0 / np.sqrt(d)
-    return None
-
-
-@dataclass
-class _PlantLoop(StateSpace):
-    """``close_loop``'s loop, which keeps its plant; its poles are computed once, at first use.
-
-    With ``_symmetric_scale``'s S, the loop E^{-1}(A^2 + B B^T)A^{-1} of K = B^T A^{-1} is similar
-    by S E to -S G S, G = ``plant.gram``: one eigvalsh, real and ascending. K's rounding, |dK| <=
-    eps |K|, moves the loop by E^{-1} B dK, and no pole by more than cond(S E) ||E^{-1} B|| ||dK||
-    (Bauer-Fike; cond(S) if E = I). Other loops take np.linalg.eigvals."""
-
-    plant: DescriptorPlant
-
-    @cached_property
-    def poles(self) -> np.ndarray:
-        s = _symmetric_scale(self.plant, self.C[self.plant.n:])
-        if s is None:
-            return np.linalg.eigvals(self.A)
-        return np.linalg.eigvalsh(-(s[:, None] * self.plant.gram * s))
+    exact = all(map(linalg._exactly_diagonal, (E, A))) and 0 < d.min() <= d.max() < np.inf
+    return 1.0 / np.sqrt(d) if exact and (K == (plant.B / A.diagonal()[:, None]).T).all() else None
 
 
 def closed_state_matrix(plant: DescriptorPlant, gain: Gain) -> np.ndarray:
@@ -361,7 +347,7 @@ def close_loop(plant: DescriptorPlant, gain: Gain) -> StateSpace:
         Acl, Bcl = np.linalg.solve(plant.E, AK), np.linalg.solve(plant.E, np.eye(n))
     C = np.vstack([np.eye(n), gain.K])
     D = np.zeros((n + m, n))
-    return _PlantLoop(Acl, Bcl, C, D, plant)
+    return StateSpace(Acl, Bcl, C, D, plant)
 
 
 def eval_closed_rational(plant: RationalPlant, gain: Gain, omega) -> np.ndarray:

@@ -19,10 +19,9 @@ plant, which the structure checks share), the closed-form gain's storage
 function X = -A^{-1} E tests the level (1 + tol) sigma(0), sampled in real
 arithmetic, before the pole seed is sampled (bounded real lemma, sound for any
 symmetric X). An exactly diagonal E or A, or an E that is exactly I, skips each
-SVD, LU and eigensolve its diagonal decides, the LU of X included.
-``certificate_blocks`` builds every block of a verify report. With cond(E) <
-1e8, the bound and the zero-peak check sweep only if one Hamiltonian level
-test fails to prove a peak at w = 0.
+SVD, LU and eigensolve its diagonal decides, X's LU too. ``certificate_blocks``
+builds every block of a verify report. With cond(E) < 1e8, the bound and the
+zero-peak check sweep only if one Hamiltonian level test fails to prove a peak at w = 0.
 Every frequency sweep evaluates its grid in stacked batches. scipy is imported
 only at the QZ call sites (``rational_stability`` and the denominator clearing
 it uses, and ``linalg.generalized_eigenvalues`` when cond(E) >= 1e8): buffer,
@@ -111,10 +110,9 @@ def pencil_stability(
     """Whether every eigenvalue of the pencil (A + B K, E) has negative real part.
 
     Given the loop's state-space form (``close_loop``), they are its ``poles``:
-    eig(E^{-1}(A + B K)), which is the pencil solver's own reduction below
-    cond(E) = 1e8, bit for bit, except for diagonal E, A under K = B^T A^{-1},
-    whose poles come from a symmetric similar matrix and may differ by ulps. The
-    abscissa must clear the axis by STABILITY_MARGIN_RTOL ||A||.
+    eig(E^{-1}(A + B K)), the pencil solver's own reduction below cond(E) = 1e8,
+    bit for bit, but for diagonal E, A under K = B^T A^{-1}: an eigvalsh of a similar
+    symmetric matrix, ulps apart. The abscissa must clear the axis by STABILITY_MARGIN_RTOL ||A||.
     """
     if loop is None:
         ev = generalized_eigenvalues(closed_state_matrix(plant, gain), plant.E)
@@ -196,7 +194,8 @@ def _grid_sigma(plant: RationalPlant, gain: Gain) -> Callable:
         out[kept] = np.linalg.svd(T[kept], compute_uv=False)[:, 0]
         return out
 
-    return freqgrid.stacked(values, 16 * plant.k * (4 * plant.k + 2 * plant.m))
+    k, m = plant.k, plant.m
+    return lambda w: freqgrid.chunked(values, w, 16 * k * (4 * k + 2 * m))
 
 
 def _bounds_norm(ss: StateSpace, Y: np.ndarray, CtC: np.ndarray, gamma: float) -> bool:
@@ -332,7 +331,9 @@ def _bound_function(plant: RationalPlant, Qp: np.ndarray | None) -> Callable:
             )
         return 1.0 / np.sqrt(lam[..., 0])
 
-    f = freqgrid.stacked(values, sample_bytes)
+    def f(w):
+        return freqgrid.chunked(values, w, sample_bytes)
+
     # With F = 0, S(w) = G + w^2 E P E^T is nondecreasing in the Loewner order.
     f.nondecreasing = desc is not None and not skew
     return f
@@ -340,8 +341,7 @@ def _bound_function(plant: RationalPlant, Qp: np.ndarray | None) -> Callable:
 
 def _norm_top(desc: DescriptorPlant, top: float) -> float:
     """(top ||E||_F + ||A||_F)^2 + ||B||_F^2 >= ||S(w)|| = ||M M^* + B B^T|| at every |w| <= top."""
-    e, a, b = (np.linalg.norm(X) for X in (desc.E, desc.A, desc.B))
-    return (top * e + a) ** 2 + b**2
+    return (top * np.linalg.norm(desc.E) + np.linalg.norm(desc.A)) ** 2 + np.linalg.norm(desc.B) ** 2
 
 
 def _bound_peaks_at_zero(desc: DescriptorPlant, f: Callable, value: float, top: float) -> bool:
@@ -362,9 +362,8 @@ def _sup_bound(plant: RationalPlant, Qp: np.ndarray | None, grid) -> BoundResult
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if f.nondecreasing and grid.size:
         # With t = w^2, lambda_min(S) is concave and lambda_max convex in t, so their
-        # ratio is quasiconcave: the singular test fires on the grid only if at an end. It
-        # cannot at the top if lambda_min(S(lo)) > 4 RANK_RTOL _norm_top, as lambda_min(S)
-        # grows: 3 RANK_RTOL _norm_top > 1e4 eps _norm_top is left for S's and eigvalsh's rounding.
+        # ratio is quasiconcave: the singular test fires on the grid only if at an end, and not at
+        # the top if lambda_min(S(lo)) > 4 RANK_RTOL _norm_top (3 RANK_RTOL left for rounding).
         lo = float(grid.min())
         try:
             value = float(f(lo))
@@ -391,8 +390,7 @@ def lower_bound(plant: RationalPlant, grid=None) -> BoundResult:
     When F = 0 bitwise, S(w) = G + w^2 E E^T only grows with w, so the
     supremum is read at the lowest grid frequency with no sweep; the highest
     is evaluated too, so that a singular Gram raises as the sweep would, unless
-    lambda_min(S) at the lowest exceeds 4 RANK_RTOL times a bound on ||S|| over the
-    grid, so that no sample can read singular. Else, if cond(E)
+    lambda_min(S(lo)) > 4 RANK_RTOL max ||S|| rules that out. Else, if cond(E)
     < 1e8 and the grid starts at w = 0, a level test at c = (1 - 2 TIE_RTOL) lambda_min(S(0))
     may prove lambda_min(S(w)) > c at every w; the w = 0 sample is then the result, no sweep.
     """
@@ -669,7 +667,8 @@ def zero_peak_inequality(plant: DescriptorPlant, grid=None) -> DominanceResult:
     if grid[0] == 0.0 and _descriptor_loop_below(plant, thresh + allowance):
         res = freqgrid.PeakResult(float(min_eig(np.zeros(1))[0]), 0.0)
     else:
-        res = adaptive_min(freqgrid.stacked(min_eig, 32 * G.size), grid=grid, batched=True)
+        res = adaptive_min(lambda w: freqgrid.chunked(min_eig, w, 32 * G.size),
+                           grid=grid, batched=True)
     return DominanceResult(
         holds=res.value >= allowance,
         min_eigenvalue=res.value,

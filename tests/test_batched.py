@@ -320,15 +320,11 @@ def test_grid_pass_is_one_call(monkeypatch):
     assert res == adaptive_max(f)
 
 
-def large_cascade():
-    rng = np.random.default_rng(3)
-    pools = {key: list(rng.uniform(0.5, 3.0, 100)) for key in ("alpha", "beta", "tau")}
-    return compile_irrigation(NetworkModel("irrigation", 100, [], pools))[0].to_rational()
-
-
 def test_large_cascade_bound_stays_within_the_stack_budget():
     # 100 pools, n = 200, F != 0: the unchunked sweep would stack every sample at once.
-    plant = large_cascade()
+    rng = np.random.default_rng(3)
+    pools = {key: list(rng.uniform(0.5, 3.0, 100)) for key in ("alpha", "beta", "tau")}
+    plant = compile_irrigation(NetworkModel("irrigation", 100, [], pools))[0].to_rational()
     grid = default_grid(points=40)
 
     def peak_of(budget):  # the sweep's peak: the level test at w = 0 is off
@@ -346,25 +342,6 @@ def test_large_cascade_bound_stays_within_the_stack_budget():
     assert peak_of(1 << 40)[1] > 3 * freqgrid.STACK_BYTES  # the check can fail
     sweep = adaptive_max(verify._bound_function(plant, None), grid=grid)
     assert (bound.value, bound.omega) == (sweep.value, sweep.omega)
-
-
-def test_large_cascade_refinement_calls_fit_the_stack_budget(monkeypatch):
-    # One bound sample of the 100-pool cascade takes 32 n^2 = 1.28 MB, so golden
-    # refinement stacks 2^2 - 1 = 3 samples per call, not 2^4 - 1 = 15 (19 MB).
-    plant, grid, calls = large_cascade(), default_grid(points=40), []
-    real = freqgrid.chunks
-
-    def chunks(omegas, sample_bytes):
-        calls.append((np.size(omegas), sample_bytes))
-        return real(omegas, sample_bytes)
-
-    monkeypatch.setattr(freqgrid, "chunks", chunks)
-    monkeypatch.setattr(verify, "_bound_peaks_at_zero", lambda *args: None)  # reach the sweep
-    verify.lower_bound(plant, grid)
-    refinement = calls[[size for size, _ in calls].index(grid.size) + 1:]
-    assert refinement
-    assert all(size * sample_bytes <= freqgrid.STACK_BYTES for size, sample_bytes in refinement)
-    assert max(size for size, _ in refinement) == 3
 
 
 # ---------------------------------------------------------------------------

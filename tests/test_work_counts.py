@@ -155,7 +155,7 @@ def test_buffer_freqresp_computes_no_spectrum(tmp_path, monkeypatch):
     model = tmp_path / "buffer50.model"
     model.write_text(json.dumps(buffer_doc(50)))
     plants, spectra = watch_buffer_b(monkeypatch), []
-    monkeypatch.setattr(hinfkit.sysmodel._PlantLoop, "poles",
+    monkeypatch.setattr(hinfkit.sysmodel.StateSpace, "poles",
                         property(lambda loop: spectra.append(loop) or np.linalg.eigvals(loop.A)))
     eigvals = count_calls(monkeypatch, "eigvals")
     eigvalsh = count_calls(monkeypatch, "eigvalsh", key=symmetrized)
