@@ -18,7 +18,9 @@ Each operation does each step once: the parser is built once per process,
 ``main`` reads the model file once (its sha256 is the report's digest) and
 resolves it into its report kind, certification plant (linked to its
 descriptor form, if any) and canonical gain, and the report is written in one
-walk to a list of pieces, joined once, each 2-D float matrix row by row. verify builds
+walk to a list of pieces, joined once. Reports are format 2: a gain K is written as
+{"shape", "rows", "cols", "values"}, its entries other than +0.0 by row, and --gain
+reads that block or dense rows. verify builds
 every certificate block; freqresp's table takes _route's sigma_max evaluator
 (verify.sigma_table). The CLI parses, refuses, dispatches and writes; compare refuses a
 singular E. Only synth takes --weighted. --tol (>= 0) and --omega0 must be finite, the
@@ -236,48 +238,34 @@ def _resolve(model, unit_h=False) -> _Form:
 
 
 def _load_gain(path, omega0) -> Gain:
-    return Gain(_matrix(_read_json(path, "gain", bare="K")[0], "K"), omega0, "external")
+    """A gain file's K: a dense matrix or a report's sparse block (``_sparse``), checked."""
+    doc = _read_json(path, "gain", bare="K")[0]
+    if not isinstance(doc.get("K"), dict):
+        return Gain(_matrix(doc, "K"), omega0, "external")
+    shape, *ijv = map(doc["K"].get, ("shape", "rows", "cols", "values"))
+    with contextlib.suppress(OverflowError, ValueError, MemoryError):  # a shape or index too large
+        if _is(shape, (int, int)) and min(shape) >= 0 \
+                and all(map(_is, ijv, ([int], [int], [float]))) and len({*map(len, ijv)}) == 1:
+            (r, c), (i, j), K = shape, np.array(ijv[:2], dtype=np.int64), np.zeros(shape)
+            if ((0 <= i) & (i < r) & (0 <= j) & (j < c)).all() and np.unique(i * c + j).size == len(i):
+                K[i, j] = np.array(ijv[2], dtype=float)
+                return Gain(K, omega0, "external")
+    raise SchemaError("field 'K' is neither a matrix nor a sparse matrix block", field="K")
 
 
 # ---------------------------------------------------------------------------
 # reports
 
 
-# json's spelling of the floats whose repr it does not use.
-_JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _matrix_parts(x, pad, out):
-    """Append json.dumps(x.tolist(), indent=2) of a 2-D float64 array to ``out``.
-
-    Exact zeros, most cells of a sparse gain, are the literals 0.0 and -0.0;
-    every other cell is float.__repr__, as json writes it. The nonzero and -0.0
-    cells are found in one pass over the whole matrix; each row is then one join.
-    """
-    inner, (r, c), flat = pad + "  ", x.shape, x.ravel()
-    cells = ["0.0"] * flat.size
-    for i in np.flatnonzero(np.signbit(flat) & (flat == 0.0)).tolist():
-        cells[i] = "-0.0"
-    nz = np.flatnonzero(flat)
-    for i, text in zip(nz.tolist(), map(repr, flat[nz].tolist())):
-        cells[i] = _JSON_FLOAT.get(text, text)
-    sep = f",\n{inner}  "
-    rows = [f"[\n{inner}  {sep.join(cells[i * c:(i + 1) * c])}\n{inner}]" if c else "[]"
-            for i in range(r)]
-    out.append(f"[\n{inner}" + f",\n{inner}".join(rows) + f"\n{pad}]" if rows else "[]")
-
-
 def _parts(x, pad, out):
     """Append json.dumps(x, indent=2, sort_keys=True) to ``out`` in pieces; str keys only.
 
     ndarrays and numpy scalars become their JSON values as the walk meets
-    them, and tuples read as lists. A 2-D float64 array is written by row
-    (``_matrix_parts``). Containers that hold no container go to the C
-    encoder in one call, with the indented item separator; only the
-    nesting above them runs in Python, and no piece is copied into its parent.
+    them, and tuples read as lists. Containers that hold no container, such as
+    the three lists of a gain (``_sparse``), go to the C encoder in one call, with
+    the indented item separator; only the nesting above them runs in Python, and
+    no piece is copied into its parent.
     """
-    if isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64:
-        return _matrix_parts(x, pad, out)
     x = x.tolist() if isinstance(x, np.ndarray) else x
     inner, nested = pad + "  ", (dict, list, tuple, np.ndarray)
     if isinstance(x, dict) and any(isinstance(v, nested) for v in x.values()):
@@ -311,10 +299,17 @@ def _emit(doc, out_path):
         sys.stdout.write(text)
 
 
+def _sparse(K: np.ndarray) -> dict:
+    """A gain as its shape and the row, column and value of each entry that is not +0.0, by row."""
+    rows, cols = np.nonzero((K != 0.0) | np.signbit(K))
+    return {"shape": list(K.shape), "rows": rows.tolist(), "cols": cols.tolist(),
+            "values": K[rows, cols].tolist()}
+
+
 def _gain_report(gain: Gain) -> dict:
     pattern = verify.sparsity_pattern(gain)
     return {
-        "K": gain.K,
+        "K": _sparse(gain.K),
         "omega0": gain.omega0,
         "formula": gain.formula,
         "metadata": gain.metadata,
@@ -324,7 +319,8 @@ def _gain_report(gain: Gain) -> dict:
 
 def _report(form, **fields) -> dict:
     """A report: the tool and model header, then ``fields``."""
-    return {"tool": {"name": "hinfkit", "version": __version__}, "model": form.header, **fields}
+    tool = {"name": "hinfkit", "version": __version__, "report_format": 2}
+    return {"tool": tool, "model": form.header, **fields}
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +382,7 @@ def _cmd_compare(args, form):
         closed_form={"gain": _gain_report(gain), "certificate": asdict(cert)},
         baseline={
             "gamma_star": gamma_star,
-            "K": K_are,
+            "K": _sparse(K_are),
             "sparsity": {"zeros": dense.zeros, "nonzeros": dense.nonzeros},
         },
         norm_ratio=cert.hinf_norm / gamma_star if gamma_star else None,

@@ -74,9 +74,8 @@ def closed_form_gain(plant: RationalPlant, omega0: float = 0.0) -> Gain:
 
 
 def descriptor_gain(plant: DescriptorPlant) -> Gain:
-    """K = B^T A^{-T} for the descriptor triple, the zero-frequency sample."""
-    K = np.linalg.solve(plant.A, plant.B).T
-    return Gain(K, 0.0, "descriptor")
+    """K = B^T A^{-T} for the descriptor triple, the zero-frequency sample: the plant's ``Kd``."""
+    return Gain(plant.Kd, 0.0, "descriptor")
 
 
 def weighted_gain(plant: RationalPlant, weight, omega0: float = 0.0) -> Gain:

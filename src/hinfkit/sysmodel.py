@@ -9,8 +9,8 @@ exactly to rational ones by filling those tensors with -A, E and B; the
 rational object keeps a link back to its descriptor so that verification
 can use a lower bound that is a precomputed quadratic in frequency and, if
 E passes the rank test (``state_space``), the pencil test and the
-state-space norm. rcond(E), the exact-structure test and G = A A^T + B B^T are
-formed once per plant; exactly diagonal E and A pass that test with no product,
+state-space norm. rcond(E), the exact-structure test, G = A A^T + B B^T and Kd
+are formed once per plant; exactly diagonal E and A pass that test with no product,
 and their loop under B^T A^{-1} takes its poles from one eigvalsh of G. A
 closed-loop pole on the axis is an exactly singular loop.
 """
@@ -84,8 +84,28 @@ class DescriptorPlant:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """A A^T + B B^T, formed once: the bound, the zero-peak check and loop poles read it."""
-        return self.A @ self.A.T + self.B @ self.B.T
+        """A A^T + B B^T, formed once: the bound, the zero-peak check and loop poles read it.
+        An exactly diagonal A gives diag(A)^2 plus, from B's nonzeros, each column's outer
+        product, summed in column order, where that takes no more pairs than B has cells."""
+        A, B, n = self.A, self.B, self.n
+        if linalg._exactly_diagonal(A):
+            t, i = np.nonzero(B.T)  # B's nonzeros, column by column
+            per = np.bincount(t, minlength=B.shape[1])
+            if 0 < per @ per <= B.size:  # with no nonzero, bincount returns ints
+                p = np.repeat(np.arange(i.size), per[t])  # each nonzero, once per column mate
+                q = np.arange(p.size) - np.repeat(np.cumsum(per[t]) - per[t], per[t])
+                q += np.repeat(np.cumsum(per) - per, per * per)  # ... and that mate
+                G = np.bincount(i[p] * n + i[q], B[i[p], t[p]] * B[i[q], t[q]], n * n).reshape(n, n)
+                G.flat[:: n + 1] = A.diagonal() ** 2 + G.diagonal()
+                return G
+        return A @ A.T + B @ B.T
+
+    @cached_property
+    def Kd(self) -> np.ndarray:
+        """The descriptor gain B^T A^{-T}, solved once and read-only; all its readers share it."""
+        K = np.linalg.solve(self.A, self.B).T
+        K.flags.writeable = False
+        return K
 
     @property
     def state_space(self) -> bool:

@@ -18,8 +18,8 @@ K = B^T A^{-1}. On an exactly symmetric commuting plant (one verdict per
 plant, which the structure checks share), the closed-form gain's storage
 function X = -A^{-1} E tests the level (1 + tol) sigma(0), sampled in real
 arithmetic, before the pole seed is sampled (bounded real lemma, sound for any
-symmetric X). An exactly diagonal E or A, or an E that is exactly I, skips each
-SVD, LU and eigensolve its diagonal decides, X's LU too. ``certificate_blocks``
+symmetric X). An exactly diagonal E or A, or an E that is exactly I, skips each SVD,
+LU, eigensolve and product its diagonal decides (X's LU, X A, E E^T, A E^T). ``certificate_blocks``
 builds every block of a verify report. With cond(E) < 1e8, the bound and the
 zero-peak check sweep only if one Hamiltonian level test fails to prove a peak at w = 0.
 Every frequency sweep evaluates its grid in stacked batches. scipy is imported
@@ -199,14 +199,15 @@ def _grid_sigma(plant: RationalPlant, gain: Gain) -> Callable:
 
 
 def _bounds_norm(ss: StateSpace, Y: np.ndarray, CtC: np.ndarray, gamma: float) -> bool:
-    """Whether a Cholesky factorization of -Q - delta I succeeds, X = (Y + Y^T) / 2.
+    """Whether a Cholesky factorization of -Q - delta I succeeds, X = (Y + Y^T) / 2, or diag(Y)
+    for a vector Y, whose products scale rows.
 
     Q = A^T X + X A + C^T C + X B B^T X / gamma^2 <= 0 gives sigma_max(T(jw)) <= gamma at
     every w (bounded real lemma). delta = 8 n eps (2 ||A^T X|| + ||C^T C|| + ||X B / gamma||^2)
     in the infinity norm is the rounding allowance: the test asks Q < -delta I, not Q < 0.
     """
-    n, X = Y.shape[0], 0.5 * (Y + Y.T)
-    XA, XB = X @ ss.A, X @ ss.B / gamma
+    n, X = Y.shape[0], Y[:, None] if Y.ndim == 1 else 0.5 * (Y + Y.T)
+    XA, XB = (X * ss.A, X * ss.B / gamma) if Y.ndim == 1 else (X @ ss.A, X @ ss.B / gamma)
     scale = 2.0 * np.linalg.norm(XA, 1) + np.linalg.norm(CtC, np.inf)
     delta = 8.0 * n * np.finfo(float).eps * (scale + np.linalg.norm(XB, np.inf) ** 2)
     try:
@@ -233,10 +234,10 @@ def hinf_norm_ss(
     the best sample evaluated, where sigma_max = lb >= norm / (1 + tol / 2).
     ``sigma`` is the loop's evaluator from ``_route``, for a caller that evaluates the
     loop as well. The Hurwitz check and the pole seed read ``ss.poles``, which a pole
-    test on the same loop has computed. Given a storage function, ``_bounds_norm`` first
-    tests gamma = (1 + tol) sigma(0) in n x n; if it holds, sigma(0) <= norm <= gamma and
-    ((1 + tol / 2) sigma(0), 0) is returned with no pole seed sampled. If it fails, the
-    seed and the level sets run as without it.
+    test on the same loop has computed. Given a storage function (a vector is diag X),
+    ``_bounds_norm`` first tests gamma = (1 + tol) sigma(0) in n x n; if it holds,
+    sigma(0) <= norm <= gamma and ((1 + tol / 2) sigma(0), 0) is returned with no pole
+    seed sampled. If it fails, the seed and the level sets run as without it.
     """
     A, B, D = ss.A, ss.B, ss.D
     if D.any():
@@ -288,7 +289,7 @@ def _bound_function(plant: RationalPlant, Qp: np.ndarray | None) -> Callable:
     """w -> ||(M P M^* + N N^*)^{-1}||^{1/2}, P = Qp Qp^T or I, at one w or in stacks over an array.
 
     NaN marks an entry-pole sample; a singular Gram raises SingularMatrixError
-    at its first sample in order.
+    at its first sample in order. Exactly diagonal E and A (P = I) give E E^T from the diagonal.
     """
     desc = plant.descriptor
     if desc is None:
@@ -304,9 +305,12 @@ def _bound_function(plant: RationalPlant, Qp: np.ndarray | None) -> Callable:
         # M P M^* + N N^* for M = jwE - A, P = Qp Qp^T or I; real when F = 0.
         E, A, B = desc.E, desc.A, desc.B
         AP, EP = (A, E) if Qp is None else (A @ Qp @ Qp.T, E @ Qp @ Qp.T)
-        EPE, X, G = EP @ E.T, AP @ E.T, desc.gram if Qp is None else AP @ A.T + B @ B.T
-        F = X - X.T
-        skew = F.any()
+        if Qp is None and linalg._exactly_diagonal(E) and linalg._exactly_diagonal(A):
+            EPE, G, F = np.diag(E.diagonal() ** 2), desc.gram, 0.0  # A E^T = E A^T: F = 0
+        else:
+            EPE, X, G = EP @ E.T, AP @ E.T, desc.gram if Qp is None else AP @ A.T + B @ B.T
+            F = X - X.T
+        skew = np.any(F)
 
         def gram(w):
             w = w[..., None, None]
@@ -554,10 +558,10 @@ def certify_optimality(
             res = adaptive_max(smax, grid=grid, batched=True)
             norm, peak = res.value, res.omega
         else:
-            E, A, X = desc.E, desc.A, None  # X = -A^{-1} E, diagonal with A and E, with no LU
+            E, A, X = desc.E, desc.A, None  # X = -A^{-1} E: its diagonal for diagonal A, E
             if _exactly_symmetric_commuting(desc):
                 diagonal = linalg._exactly_diagonal(E) and linalg._exactly_diagonal(A)
-                X = np.diag(-E.diagonal() / A.diagonal()) if diagonal else -np.linalg.solve(A, E)
+                X = -E.diagonal() / A.diagonal() if diagonal else -np.linalg.solve(A, E)
             norm, peak = hinf_norm_ss(loop, sigma=smax, storage=X)
         try:
             sigma0 = float(smax(gain.omega0))

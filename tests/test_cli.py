@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -27,11 +28,11 @@ from hinfkit.cli import (
     load_model,
     main,
 )
-from hinfkit import (DescriptorPlant, HinfkitError, InvalidInputError, NetworkModel, RationalPlant,
-                     SchemaError, cli)
+from hinfkit import (DescriptorPlant, Gain, HinfkitError, InvalidInputError, NetworkModel,
+                     RationalPlant, SchemaError, cli)
 from hinfkit.netgen import NETWORK_KINDS
 from conftest import random_buffer
-from test_golden import MODELS
+from test_golden import MODELS, dense_cells
 from test_verify import SLOW_POLE_K, SLOW_POLE_M, SLOW_POLE_N, slow_pole_norm_at_zero
 
 
@@ -158,7 +159,7 @@ class TestReports:
         doc = json.loads(out.read_text())
         assert doc["certificate"]["verdict"] == "optimal"
         assert doc["certificate"]["hinf_norm"] == pytest.approx(2**-0.5, abs=1e-7)
-        assert doc["gain"]["K"] == [[-1.0]]
+        assert dense_cells(doc["gain"]["K"]) == [[-1.0]]
         assert doc["checks"]["symmetric_commuting"]["holds"] is True
         assert len(doc["model"]["digest"]) == 64
 
@@ -179,7 +180,7 @@ class TestReports:
         out = tmp_path / "synth.json"
         assert main(["synth", lag_model, "--weighted", qfile, "--out", str(out)]) == EXIT_OK
         doc = json.loads(out.read_text())
-        assert doc["gain"]["K"] == [[-4.0]]
+        assert dense_cells(doc["gain"]["K"]) == [[-4.0]]
         assert doc["gain"]["formula"] == "weighted"
 
     def test_lower_bound_command(self, lag_model, tmp_path):
@@ -492,9 +493,77 @@ def test_buffer_verify_report_is_what_json_writes(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_emit", lambda doc, out: emit(docs.append(doc) or doc, out))
     out = tmp_path / "report.json"
     assert main(["verify", model, "--out", str(out)]) == EXIT_OK
-    K = docs[0]["gain"]["K"]
-    assert isinstance(K, np.ndarray) and K.shape == (598, 200)
+    assert np.shape(dense_cells(docs[0]["gain"]["K"])) == (598, 200)
     assert out.read_text() == json.dumps(_plain(docs[0]), indent=2, sort_keys=True) + "\n"
+    assert out.stat().st_size <= 100_000  # the 1,196 nonzeros of K, not its 119,600 cells
+
+
+# ---------------------------------------------------------------------------
+# gains as sparse blocks: {"shape", "rows", "cols", "values"}
+
+# Finite cells a gain can hold: mostly exact zeros of either sign, and subnormals.
+GAIN_CELLS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1.0, -1e308]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+GAINS = hnp.arrays(np.float64, st.one_of(st.sampled_from([(0, 3), (3, 0), (0, 0)]),
+                                         hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)),
+                   elements=GAIN_CELLS, fill=st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(GAINS)
+def test_report_gain_reads_back_bitwise(K):
+    # The gain block a synth report writes, read back as a --gain file: the same
+    # shape and the same bits, sign bits of zeros included.
+    block = json.loads(_text(cli._gain_report(Gain(K))))["K"]
+    assert len(block["values"]) == np.count_nonzero((K != 0.0) | np.signbit(K))
+    with tempfile.TemporaryDirectory() as tmp:
+        back = cli._load_gain(write(Path(tmp) / "k.json", {"K": block}), 0.0).K
+    assert back.shape == K.shape
+    assert back.tobytes() == K.astype(float).tobytes()
+
+
+def test_verify_reads_a_synth_reports_gain_as_its_default(buffer_model, tmp_path):
+    synth, report, default = (tmp_path / f"{name}.json" for name in ("synth", "v", "default"))
+    assert main(["synth", buffer_model, "--out", str(synth)]) == EXIT_OK
+    block = json.loads(synth.read_text())["gain"]["K"]
+    dense = write(tmp_path / "dense.json", {"K": dense_cells(block)})
+    sparse = write(tmp_path / "sparse.json", {"K": block})
+    assert main(["verify", buffer_model, "--out", str(default)]) == EXIT_OK
+    for gain in (dense, sparse):
+        assert main(["verify", buffer_model, "--gain", gain, "--out", str(report)]) == EXIT_OK
+        doc, want = json.loads(report.read_text()), json.loads(default.read_text())
+        assert doc["gain"]["K"] == block and doc["gain"]["formula"] == "external"
+        assert doc["certificate"]["hinf_norm"] == want["certificate"]["hinf_norm"]
+
+
+SPARSE_K = {"shape": [1, 1], "rows": [0], "cols": [0], "values": [-1.0]}
+MALFORMED_K = {
+    "row-out-of-range": {**SPARSE_K, "rows": [1]},
+    "col-negative": {**SPARSE_K, "cols": [-1]},
+    "duplicate": {"shape": [1, 2], "rows": [0, 0], "cols": [1, 1], "values": [1.0, 2.0]},
+    "bool-index": {**SPARSE_K, "rows": [False]},
+    "float-index": {**SPARSE_K, "cols": [0.0]},
+    "unequal-lengths": {**SPARSE_K, "values": [-1.0, 1.0]},
+    "negative-shape": {**SPARSE_K, "shape": [1, -1]},
+    "three-dims": {**SPARSE_K, "shape": [1, 1, 1]},
+    "bool-shape": {**SPARSE_K, "shape": [1, True]},
+    "string-value": {**SPARSE_K, "values": ["-1"]},
+    "no-values": {k: v for k, v in SPARSE_K.items() if k != "values"},
+    "huge-index": {**SPARSE_K, "rows": [10**30]},
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_K)
+def test_malformed_sparse_gain_is_a_schema_error_naming_K(case, lag_model, tmp_path):
+    gain = write(tmp_path / "k.json", {"K": MALFORMED_K[case]})
+    code, out, err = _run(["verify", lag_model, "--gain", gain])
+    assert (code, out) == (EXIT_SCHEMA, "")
+    assert err.startswith("hinfkit: schema error: ") and err.endswith(" (field: K)\n")
+
+
+def test_well_formed_sparse_gain_verifies(lag_model, tmp_path):
+    gain = write(tmp_path / "k.json", {"K": SPARSE_K})
+    assert main(["verify", lag_model, "--gain", gain]) == EXIT_OK
 
 
 def _reduced_abscissa(E, A, B, K):
@@ -520,7 +589,7 @@ def test_verify_singular_descriptor_beyond_eight_states(tmp_path):
     doc = json.loads(out.read_text())
     cert = doc["certificate"]
     assert cert["verdict"] == "optimal"
-    expect = _reduced_abscissa(E, A, B, np.array(doc["gain"]["K"]))
+    expect = _reduced_abscissa(E, A, B, np.array(dense_cells(doc["gain"]["K"])))
     assert cert["details"]["abscissa"] == pytest.approx(expect, rel=1e-9)
 
 
@@ -541,7 +610,7 @@ def test_verify_dense_rational_beyond_eight_outputs(tmp_path):
     doc = json.loads(out.read_text())
     cert = doc["certificate"]
     assert cert["verdict"] == "optimal"
-    K = np.array(doc["gain"]["K"])
+    K = np.array(dense_cells(doc["gain"]["K"]))
     companion = np.block([[np.zeros((k, k)), np.eye(k)],
                           [-np.linalg.solve(E, L - B @ K), -np.linalg.solve(E, F)]])
     expect = float(np.linalg.eigvals(companion).real.max())

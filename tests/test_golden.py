@@ -9,7 +9,9 @@ when a report is meant to change:
     PYTHONPATH=src python tests/test_golden.py
 
 Regeneration prints every field it rewrites, with its path, old value, new
-value and relative change, so a moved digit is visible in review.
+value and relative change, so a moved digit is visible in review. A gain ``K``
+is compared cell by cell in either form, dense rows or the sparse block, so a
+change of form alone prints nothing.
 """
 
 import contextlib
@@ -93,8 +95,18 @@ def test_golden_output(case, tmp_path, monkeypatch):
     assert stdout.encode() == want
 
 
+def dense_cells(K):
+    """A report's K as nested rows: a sparse block {shape, rows, cols, values} is filled in."""
+    if not isinstance(K, dict):
+        return K
+    cells = np.zeros(K["shape"])
+    cells[K["rows"], K["cols"]] = K["values"]
+    return cells.tolist()
+
+
 def _fields(text):
-    """{path: value} for every leaf of a JSON report or every cell of a CSV table."""
+    """{path: value} for every leaf of a JSON report or every cell of a CSV table; each gain
+    ``K`` is walked as its dense cells, whichever form the report writes."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
@@ -107,7 +119,7 @@ def _fields(text):
     def walk(value, path):
         if isinstance(value, dict):
             for key, item in value.items():
-                walk(item, f"{path}.{key}" if path else key)
+                walk(dense_cells(item) if key == "K" else item, f"{path}.{key}" if path else key)
         elif isinstance(value, list):
             for i, item in enumerate(value):
                 walk(item, f"{path}[{i}]")
@@ -144,6 +156,14 @@ def test_field_diff_names_each_changed_field():
         "m.verify  a.x  1.0 -> 1.5  rel +5.000e-01",
         "m.verify  b[1]  2 -> 3  rel +5.000e-01",
         "m.verify  c  '<absent>' -> True  rel -",
+    ]
+    dense = '{"gain": {"K": [[0.0, -0.0], [2.5, 0.0]]}, "baseline": {"K": [[1.0]]}}'
+    sparse = ('{"gain": {"K": {"shape": [2, 2], "rows": [0, 1], "cols": [1, 0], '
+              '"values": [-0.0, 2.5]}}, "baseline": {"K": {"shape": [1, 1], "rows": [0], '
+              '"cols": [0], "values": [1.0]}}}')
+    assert field_diff("m.verify", dense, sparse) == []
+    assert field_diff("m.verify", dense, sparse.replace("2.5", "3.0")) == [
+        "m.verify  gain.K[1][0]  2.5 -> 3.0  rel +2.000e-01",
     ]
     table = "omega,sigma_max\n0.0,1.0\n1.0,0.5\n"
     assert field_diff("m.freqresp", table, table.replace("0.5", "0.25")) == [

@@ -99,35 +99,66 @@ def test_level_set_certificate_takes_one_closed_loop_spectrum(monkeypatch):
     assert pencils == []
 
 
-class _WatchedB(np.ndarray):
-    """The B of one plant: counts B @ B^T, the product every Gram A A^T + B B^T forms."""
+class _Watched(np.ndarray):
+    """A plant's B or a buffer gain's K, watched for dense products.
 
-    def __matmul__(self, other):
-        if "formed" in vars(self) and isinstance(other, np.ndarray) and np.shares_memory(self, other):
-            self.formed += 1
-        return super().__matmul__(other)
+    Every np.matmul (so every @) that takes a watched array or a view of it appends
+    its operands' names to ``products``, "-" for one that is not; B B^T, the
+    product every Gram A A^T + B B^T forms, also counts in that B's ``formed``. Each
+    ufunc returns a plain array, so a copy such as B / a is no longer watched.
+    """
+
+    watched: list = []  # the watched arrays of one test, each with its ``name``
+    products: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        a, b = (next((w for w in self.watched if np.may_share_memory(x, w)), None)
+                for x in inputs) if ufunc is np.matmul else (None, None)
+        if a is not None or b is not None:
+            self.products.append(" @ ".join(getattr(w, "name", "-") for w in (a, b)))
+            if a is b:
+                a.formed += 1
+        plain = [x.view(np.ndarray) if isinstance(x, _Watched) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def watch(monkeypatch, array, name):
+    """``array`` as a watched view named ``name``; the watch ends with the test."""
+    if not _Watched.watched:
+        monkeypatch.setattr(_Watched, "watched", [])
+        monkeypatch.setattr(_Watched, "products", [])
+    view = array.view(_Watched)
+    view.name, view.formed = name, 0
+    _Watched.watched.append(view)
+    return view
 
 
 def watch_buffer_b(monkeypatch):
-    """The descriptor plants resolved from now on, each B a _WatchedB."""
-    plants, real = [], DescriptorPlant.to_rational
+    """The descriptor plants resolved from now on, each B watched; and every buffer gain's K."""
+    plants, real, law = [], DescriptorPlant.to_rational, hinfkit.synth.buffer_law
 
     def to_rational(self):
-        self.B = self.B.view(_WatchedB)
-        self.B.formed = 0
+        self.B = watch(monkeypatch, self.B, "B")
         plants.append(self)
         return real(self)
 
+    def buffer_law(net):
+        gain = law(net)
+        gain.K = watch(monkeypatch, gain.K, "K")
+        return gain
+
     monkeypatch.setattr(DescriptorPlant, "to_rational", to_rational)
+    monkeypatch.setattr(hinfkit.synth, "buffer_law", buffer_law)
     return plants
 
 
 def test_buffer_verify_forms_each_dense_step_once(tmp_path, monkeypatch):
     # A cli verify of an N = 50 buffer: the loop spectrum is one eigvalsh of the
-    # symmetrized loop, with no eigvals; G = A A^T + B B^T is formed once for it and
-    # the bound; the storage function is diagonal, with no solve(A, E); the bound
-    # samples only the grid's low end. The three (50, 50) eigvalsh are the loop, the
-    # bound at w = 0 and sigma(0).
+    # symmetrized loop, with no eigvals; G = A A^T + B B^T is summed once from B's
+    # nonzeros for it and the bound, with no dense B B^T; the storage function is
+    # diagonal, with no solve(A, E); the bound samples only the grid's low end. The
+    # three (50, 50) eigvalsh are the loop, the bound at w = 0 and sigma(0). The one
+    # dense product with B or K left is the loop's A + B K.
     model = tmp_path / "buffer50.model"
     model.write_text(json.dumps(buffer_doc(50)))
     plants, bound_samples = watch_buffer_b(monkeypatch), []
@@ -146,7 +177,8 @@ def test_buffer_verify_forms_each_dense_step_once(tmp_path, monkeypatch):
     assert main(["verify", str(model), "--out", str(tmp_path / "report.json")]) == EXIT_OK
     assert eigvals == []
     assert eigvalsh == [((50, 50), True), ((50, 50), False), ((50, 50), False)]
-    assert [int(plant.B.formed) for plant in plants] == [1]
+    assert [int(plant.B.formed) for plant in plants] == [0]
+    assert _Watched.products == ["B @ K"]
     assert True not in diagonal_solves
     assert bound_samples == [0.0]
 
@@ -163,6 +195,7 @@ def test_buffer_freqresp_computes_no_spectrum(tmp_path, monkeypatch):
     assert spectra == [] and eigvals == []
     assert not any(loop for _, loop in eigvalsh)
     assert [int(plant.B.formed) for plant in plants] == [0]
+    assert _Watched.products == ["B @ K"]
 
 
 def test_storage_test_failing_falls_back_to_the_hamiltonian(monkeypatch):
@@ -425,6 +458,44 @@ def test_nonsymmetric_verify_runs_no_sweep(name, tmp_path, monkeypatch):
     assert report["certificate"]["details"]["lower_bound_frequency"] == 0.0
     assert sorted(seen) == [("_bound_peaks_at_zero", True), ("_descriptor_loop_below", True)]
     assert calls == []
+
+
+def test_cascade_verify_solves_the_descriptor_gain_once(tmp_path, monkeypatch):
+    # The verified gain, the structure block's pencil test and the zero-peak level
+    # test all read the plant's one Kd = B^T A^{-T}: one solve(A, B) per verify.
+    model = tmp_path / "irrigation3.model"
+    model.write_text(json.dumps(NONSYMMETRIC_DOCS["irrigation3"]))
+    plants, real = [], DescriptorPlant.to_rational
+    monkeypatch.setattr(DescriptorPlant, "to_rational", lambda self: plants.append(self) or real(self))
+    firsts = count_calls(monkeypatch, "solve", key=lambda a: a)
+    assert main(["verify", str(model), "--out", str(tmp_path / "report.json")]) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert "pencil_stability" in report["checks"]["fallback"]
+    assert [sum(a is plant.A for a in firsts) for plant in plants] == [1]
+    assert not plants[0].Kd.flags.writeable
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 200])
+def test_buffer_gram_from_nonzeros_is_the_dense_gram(n):
+    # B's nonzeros are +-1, so every sum of products is exact in any order.
+    plant = compile_buffer(random_buffer(np.random.default_rng(n), n))
+    dense = plant.A @ plant.A.T + plant.B @ plant.B.T
+    assert plant.gram.tobytes() == dense.tobytes()
+
+
+def test_gram_of_diagonal_plants_from_nonzeros_is_within_rounding():
+    # Any B: each cell sums the same products in column order, so it lies within
+    # m eps sum |B_it B_kt| of the dense product; a dense B keeps the dense product.
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        n, m = rng.integers(1, 12, 2)
+        B = rng.standard_normal((n, m)) * (rng.random((n, m)) < 0.3)
+        plant = DescriptorPlant(np.eye(n), np.diag(-rng.uniform(0.5, 2.0, n)), B)
+        dense = plant.A @ plant.A.T + B @ B.T
+        bound = m * np.finfo(float).eps * (plant.A**2 + np.abs(B) @ np.abs(B).T)
+        assert (np.abs(plant.gram - dense) <= bound).all()
+    full = DescriptorPlant(np.eye(3), -np.eye(3), rng.standard_normal((3, 4)))
+    assert full.gram.tobytes() == (full.A @ full.A.T + full.B @ full.B.T).tobytes()
 
 
 @pytest.mark.parametrize("plant", [
