@@ -52,6 +52,7 @@ import numpy as np
 
 from . import __version__, freqgrid, netgen, synth, verify
 from .exceptions import (
+    DimensionError,
     HinfkitError,
     InvalidInputError,
     ModelError,
@@ -237,17 +238,21 @@ def _resolve(model, unit_h=False) -> _Form:
     return _Form(kind, desc.to_rational(), lambda _: synth.descriptor_gain(desc))
 
 
-def _load_gain(path, omega0) -> Gain:
-    """A gain file's K: a dense matrix or a report's sparse block (``_sparse``), checked."""
+def _load_gain(path, omega0, plant) -> Gain:
+    """A gain file's K: a dense matrix or a report's sparse block (``_sparse``), checked; a block
+    whose shape is not ``plant``'s m x k is refused before it is allocated."""
     doc = _read_json(path, "gain", bare="K")[0]
     if not isinstance(doc.get("K"), dict):
         return Gain(_matrix(doc, "K"), omega0, "external")
     shape, *ijv = map(doc["K"].get, ("shape", "rows", "cols", "values"))
-    with contextlib.suppress(OverflowError, ValueError, MemoryError):  # a shape or index too large
+    with contextlib.suppress(OverflowError):  # an index or value beyond int64 or float
         if _is(shape, (int, int)) and min(shape) >= 0 \
                 and all(map(_is, ijv, ([int], [int], [float]))) and len({*map(len, ijv)}) == 1:
-            (r, c), (i, j), K = shape, np.array(ijv[:2], dtype=np.int64), np.zeros(shape)
+            (r, c), (i, j) = shape, np.array(ijv[:2], dtype=np.int64)
             if ((0 <= i) & (i < r) & (0 <= j) & (j < c)).all() and np.unique(i * c + j).size == len(i):
+                if (r, c) != (plant.m, plant.k):
+                    raise DimensionError(f"gain must be {plant.m} x {plant.k}, got {(r, c)}")
+                K = np.zeros((r, c))
                 K[i, j] = np.array(ijv[2], dtype=float)
                 return Gain(K, omega0, "external")
     raise SchemaError("field 'K' is neither a matrix nor a sparse matrix block", field="K")
@@ -344,7 +349,7 @@ def _cmd_synth(args, form):
 def _cmd_verify(args, form):
     if args.gain and form.plant is None:
         raise InvalidInputError("machine networks certify their own modal law only")
-    gain = _load_gain(args.gain, args.omega0) if args.gain else form.gain(args.omega0)
+    gain = _load_gain(args.gain, args.omega0, form.plant) if args.gain else form.gain(args.omega0)
     blocks, verdict = verify.certificate_blocks(form.plant, gain, tol=args.tol, grid=args.grid)
     _emit(_report(form, gain=_gain_report(gain), tolerances={"tol": args.tol}, **blocks), args.out)
     return {"optimal": EXIT_OK, "unstable": EXIT_UNSTABLE}.get(verdict, EXIT_SUBOPTIMAL)
@@ -393,9 +398,9 @@ def _cmd_compare(args, form):
 
 
 def _cmd_freqresp(args, form):
-    gain = _load_gain(args.gain, args.omega0) if args.gain else form.gain(args.omega0)
     if form.plant is None:
         raise InvalidInputError("freqresp requires a model with a single plant form")
+    gain = _load_gain(args.gain, args.omega0, form.plant) if args.gain else form.gain(args.omega0)
     rows = verify.sigma_table(form.plant, gain, args.grid)
     _emit("omega,sigma_max,is_peak\n" + "".join(f"{w!r},{v!r},{p}\n" for w, v, p in rows), args.out)
     return EXIT_OK

@@ -9,10 +9,11 @@ exactly to rational ones by filling those tensors with -A, E and B; the
 rational object keeps a link back to its descriptor so that verification
 can use a lower bound that is a precomputed quadratic in frequency and, if
 E passes the rank test (``state_space``), the pencil test and the
-state-space norm. rcond(E), the exact-structure test, G = A A^T + B B^T and Kd
-are formed once per plant; exactly diagonal E and A pass that test with no product,
-and their loop under B^T A^{-1} takes its poles from one eigvalsh of G. A
-closed-loop pole on the axis is an exactly singular loop.
+state-space norm. A DescriptorPlant is the one record of what its readers
+share: rcond(E), the exact-structure verdicts, G = A A^T + B B^T, Kd and
+Kd's loop (``kd_loop``, closed by ``verify._route``). Exactly diagonal E, A
+under B^T A^{-1} take the loop's poles from one eigvalsh of G. A closed-loop
+pole on the axis is an exactly singular loop.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ class DescriptorPlant:
     E: np.ndarray
     A: np.ndarray
     B: np.ndarray
+    kd_loop = None  # (loop, sigma) under Kd, set once by verify._route: every Kd loop reader's
 
     def __post_init__(self):
         self.E = np.atleast_2d(np.asarray(self.E, dtype=float))
@@ -74,13 +76,16 @@ class DescriptorPlant:
         return linalg.rcond(self.E)
 
     @cached_property
+    def exactly_diagonal(self) -> bool:
+        """Whether E and A are both exactly diagonal: the verdict every diagonal shortcut reads."""
+        return linalg._exactly_diagonal(self.E) and linalg._exactly_diagonal(self.A)
+
+    @cached_property
     def exactly_symmetric_commuting(self) -> bool:
         """Whether E - E^T, A - A^T and E A - A E are all exactly zero; only the verdict is kept."""
         E, A = self.E, self.A
-        if (E - E.T).any() or (A - A.T).any():
-            return False
-        diagonal = linalg._exactly_diagonal(E) and linalg._exactly_diagonal(A)
-        return diagonal or not (E @ A - A @ E).any()  # diagonal matrices commute exactly
+        symmetric = not ((E - E.T).any() or (A - A.T).any())
+        return symmetric and (self.exactly_diagonal or not (E @ A - A @ E).any())  # diagonals commute
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -330,8 +335,8 @@ class Gain:
 def _symmetric_scale(plant: DescriptorPlant, K: np.ndarray) -> np.ndarray | None:
     """diag(S), S = (-E A)^{-1/2}, if E and A are exactly diagonal, E_ii A_ii < 0 and K is entry
     by entry (B / diag(A))^T, the correctly rounded B^T A^{-1}; else None."""
-    E, A, d = plant.E, plant.A, -plant.E.diagonal() * plant.A.diagonal()
-    exact = all(map(linalg._exactly_diagonal, (E, A))) and 0 < d.min() <= d.max() < np.inf
+    A, d = plant.A, -plant.E.diagonal() * plant.A.diagonal()
+    exact = plant.exactly_diagonal and 0 < d.min() <= d.max() < np.inf
     return 1.0 / np.sqrt(d) if exact and (K == (plant.B / A.diagonal()[:, None]).T).all() else None
 
 

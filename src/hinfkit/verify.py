@@ -5,34 +5,30 @@ closed-loop H-infinity norm with its peak frequency, and the synthesis
 lower bound sup_w ||(M M^* + N N^*)^{-1}||^{1/2}. The gain is optimal when
 the loop is stable, the norm meets the lower bound, and sigma_max of the loop
 at the frequency the gain was sampled at meets it too, so that frequency
-attains the norm. The route is fixed before anything is computed: poles
-come from the pencil (A + B K, E) if E passes the rank test, else from the
-block-companion pencil of the cleared loop M - N K; the norm comes from
-Hamiltonian level sets if also cond(E) < 1e8, else from a frequency grid.
-``_route`` decides this once per certificate and builds the loop's one
-sigma_max(T(jw)) evaluator, read by the norm, by sigma_max at the sampled
-frequency and by the CLI's frequency table, ``sigma_table``. On the level-set
-route the loop is closed once; the pole test and the norm's Hurwitz check read
-its one spectrum, one eigvalsh of the plant's Gram for diagonal E, A under
-K = B^T A^{-1}. On an exactly symmetric commuting plant (one verdict per
-plant, which the structure checks share), the closed-form gain's storage
-function X = -A^{-1} E tests the level (1 + tol) sigma(0), sampled in real
-arithmetic, before the pole seed is sampled (bounded real lemma, sound for any
-symmetric X). An exactly diagonal E or A, or an E that is exactly I, skips each SVD,
-LU, eigensolve and product its diagonal decides (X's LU, X A, E E^T, A E^T). ``certificate_blocks``
-builds every block of a verify report. With cond(E) < 1e8, the bound and the
-zero-peak check sweep only if one Hamiltonian level test fails to prove a peak at w = 0.
-Every frequency sweep evaluates its grid in stacked batches. scipy is imported
-only at the QZ call sites (``rational_stability`` and the denominator clearing
-it uses, and ``linalg.generalized_eigenvalues`` when cond(E) >= 1e8): buffer,
-irrigation and thermal commands never load it.
+attains the norm. ``_route`` fixes the route from rcond(E) before anything is
+computed: poles from the pencil (A + B K, E) if E passes the rank test, else
+from the block-companion pencil of the cleared loop M - N K; the norm from
+Hamiltonian level sets if also cond(E) < 1e8, else from a frequency grid. It
+closes the loop and builds its one sigma_max(T(jw)) evaluator, which the norm,
+sigma0 and ``sigma_table`` read; the pole test and the norm's Hurwitz check read
+the loop's one spectrum. The loop of the plant's own Kd = B^T A^{-T} is closed
+once per plant (``DescriptorPlant.kd_loop``): its certificate, the structure
+block's pencil test and the zero-peak level test read one spectrum and one
+sigma(0). On an exactly symmetric commuting plant, the storage function
+X = -A^{-1} E tests the level (1 + tol) sigma(0) before the pole seed is sampled
+(bounded real lemma). The plant's exact-structure verdicts, and an E that is
+exactly I, skip each factorization and product they decide. With cond(E) < 1e8,
+the bound and the zero-peak check sweep only if one Hamiltonian level test fails
+to prove a peak at w = 0; every sweep evaluates its grid in stacked batches.
+scipy is imported only at the QZ call sites, so buffer, irrigation and thermal
+commands never load it.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -305,7 +301,7 @@ def _bound_function(plant: RationalPlant, Qp: np.ndarray | None) -> Callable:
         # M P M^* + N N^* for M = jwE - A, P = Qp Qp^T or I; real when F = 0.
         E, A, B = desc.E, desc.A, desc.B
         AP, EP = (A, E) if Qp is None else (A @ Qp @ Qp.T, E @ Qp @ Qp.T)
-        if Qp is None and linalg._exactly_diagonal(E) and linalg._exactly_diagonal(A):
+        if Qp is None and desc.exactly_diagonal:
             EPE, G, F = np.diag(E.diagonal() ** 2), desc.gram, 0.0  # A E^T = E A^T: F = 0
         else:
             EPE, X, G = EP @ E.T, AP @ E.T, desc.gram if Qp is None else AP @ A.T + B @ B.T
@@ -479,7 +475,7 @@ def rational_stability(plant: RationalPlant, gain: Gain) -> StabilityResult:
 
 
 def _route(
-    plant: RationalPlant, gain: Gain
+    plant: RationalPlant | DescriptorPlant, gain: Gain
 ) -> tuple[DescriptorPlant | None, StateSpace | None, Callable]:
     """(desc, loop, sigma): the certificate's route, read from rcond(E) alone.
 
@@ -487,15 +483,21 @@ def _route(
     (the block-companion pencil). If also cond(E) < REDUCTION_COND_MAX, ``loop`` is the loop
     closed for level sets and ``sigma`` its _GramSigma; else ``loop`` is None and ``sigma``
     is _grid_sigma. ``sigma``, w -> sigma_max(T(jw)), is the loop's one evaluator; both
-    kinds raise PoleOnAxisError at a pole on the axis.
+    kinds raise PoleOnAxisError at a pole on the axis. Kd's own array (not an equal one) closes
+    its loop once per plant (``desc.kd_loop``). ``plant`` may be a descriptor with cond(E) < 1e8.
     """
-    desc = plant.descriptor
+    desc = plant if isinstance(plant, DescriptorPlant) else plant.descriptor
     if desc is None or not desc.state_space:
         return None, None, _grid_sigma(plant, gain)
     if desc.rcond_E <= 1.0 / REDUCTION_COND_MAX:
         return desc, None, _grid_sigma(plant, gain)
-    loop = close_loop(desc, gain)
-    return desc, loop, _GramSigma(loop)
+    if gain.K is not vars(desc).get("Kd"):  # not desc.Kd, which would solve for a buffer law
+        loop = close_loop(desc, gain)
+        return desc, loop, _GramSigma(loop)
+    if desc.kd_loop is None:
+        loop = close_loop(desc, gain)
+        desc.kd_loop = loop, _GramSigma(loop)
+    return desc, *desc.kd_loop
 
 
 def sigma_table(plant: RationalPlant, gain: Gain, grid) -> list[tuple[float, float, int]]:
@@ -531,15 +533,14 @@ def certify_optimality(
 ) -> Certificate:
     """Run the full certificate: stability, norm with peak, lower bound.
 
-    The route is ``_route``'s, decided once. On the level-set route the loop
-    is closed once, and the pole test and the norm read its one spectrum
-    (``StateSpace.poles``). The norm and sigma0 read the route's one sigma
-    evaluator: the level-set norm seeds from it, the grid norm sweeps it. The
-    gain is optimal when the loop is stable, |norm - lb| <= tol (1 + lb), and
-    sigma0 = sigma_max(T(j omega0)) >= lb - tol (1 + lb); as sigma0 <= norm,
-    omega0 then attains the norm within tol. A pole at omega0 makes sigma0
-    NaN. An unstable loop is a verdict; an error raised while computing the
-    norm propagates.
+    The route is ``_route``'s, decided once. On the level-set route the pole test and the
+    norm read the loop's one spectrum (``StateSpace.poles``), which the structure block has
+    computed if the gain is the plant's Kd. The norm and sigma0 read the route's one sigma
+    evaluator: the level-set norm seeds from it, the grid norm sweeps it. The gain is
+    optimal when the loop is stable, |norm - lb| <= tol (1 + lb), and sigma0 =
+    sigma_max(T(j omega0)) >= lb - tol (1 + lb); as sigma0 <= norm, omega0 then attains
+    the norm within tol. A pole at omega0 makes sigma0 NaN. An unstable loop is a
+    verdict; an error raised while computing the norm propagates.
     """
     desc, loop, smax = _route(plant, gain)
     stab = rational_stability(plant, gain) if desc is None else pencil_stability(desc, gain, loop)
@@ -559,9 +560,8 @@ def certify_optimality(
             norm, peak = res.value, res.omega
         else:
             E, A, X = desc.E, desc.A, None  # X = -A^{-1} E: its diagonal for diagonal A, E
-            if _exactly_symmetric_commuting(desc):
-                diagonal = linalg._exactly_diagonal(E) and linalg._exactly_diagonal(A)
-                X = -E.diagonal() / A.diagonal() if diagonal else -np.linalg.solve(A, E)
+            if desc.exactly_symmetric_commuting:
+                X = -E.diagonal() / A.diagonal() if desc.exactly_diagonal else -np.linalg.solve(A, E)
             norm, peak = hinf_norm_ss(loop, sigma=smax, storage=X)
         try:
             sigma0 = float(smax(gain.omega0))
@@ -613,13 +613,13 @@ class DominanceResult:
 
 
 def _descriptor_loop_below(plant: DescriptorPlant, level: float) -> bool:
-    """Whether sigma_max(T(jw)) < level^{-1/2} at every w, T the loop of K = B^T A^{-T}: an
-    L-infinity level test, which needs no stability. False if level <= 0, cond(E) >= 1e8 or
-    a pole is on the axis."""
+    """Whether sigma_max(T(jw)) < level^{-1/2} at every w, T the plant's one loop of K = B^T A^{-T}
+    (``_route``): an L-infinity level test, which needs no stability. False if level <= 0,
+    cond(E) >= 1e8 or a pole is on the axis."""
     if level <= 0.0 or plant.rcond_E <= 1.0 / REDUCTION_COND_MAX:
         return False
-    loop = close_loop(plant, synth.descriptor_gain(plant))
-    sigma, gamma = _GramSigma(loop), level**-0.5
+    _, loop, sigma = _route(plant, synth.descriptor_gain(plant))
+    gamma = level**-0.5
     H = np.block([[loop.A, loop.B @ loop.B.T / gamma**2], [-sigma.CtC, -loop.A.T]])
     return _below_level(H, sigma, gamma)
 
@@ -635,7 +635,7 @@ def zero_peak_inequality(plant: DescriptorPlant, grid=None) -> DominanceResult:
     inequality holds automatically and sampling stops (tail rule). A singular F restricts
     the tail argument to the complement of its kernel and extends the grid to 1e6 instead.
     ``checked_up_to`` and ``tail_rule`` describe that grid. If it starts at w = 0 and cond(E) < 1e8,
-    a level test first asks if sigma_max(T_K(jw)) < (lambda_min(G) - 1e-9 lambda_max(G))^{-1/2},
+    a level test on Kd's loop asks if sigma_max(T_K(jw)) < (lambda_min(G) - 1e-9 lambda_max(G))^{-1/2},
     the allowance, at every w; if so, the check holds with the w = 0 sample and no sweep.
     """
     E, A, G = plant.E, plant.A, plant.gram
@@ -694,21 +694,10 @@ class SymmetryReport:
 
     @property
     def holds(self) -> bool:
-        return (
-            self.symmetric_E
-            and self.positive_definite_E
-            and self.symmetric_A
-            and self.negative_definite_A
-            and self.commuting
-        )
+        return all(astuple(self))
 
     def __bool__(self) -> bool:
         return self.holds
-
-
-def _exactly_symmetric_commuting(p: DescriptorPlant) -> bool:
-    """Whether E - E^T, A - A^T and E A - A E are all exactly zero: the plant's one verdict."""
-    return p.exactly_symmetric_commuting
 
 
 def symmetric_commuting_check(plant: DescriptorPlant) -> SymmetryReport:
@@ -721,7 +710,7 @@ def symmetric_commuting_check(plant: DescriptorPlant) -> SymmetryReport:
     of an exactly diagonal E or A is read from its diagonal's signs, not eigvalsh.
     """
     E, A, flags = plant.E, plant.A, [True] * 3
-    if not _exactly_symmetric_commuting(plant):
+    if not plant.exactly_symmetric_commuting:
         residues = (E - E.T, A - A.T, E @ A - A @ E)
         ne, na = spectral_norm(E), spectral_norm(A)
         caps = (1e-12 * max(ne, 1e-300), 1e-12 * max(na, 1e-300), 1e-10 * max(ne * na, 1e-300))
@@ -741,7 +730,7 @@ def structure_checks(plant: RationalPlant) -> dict:
     """The report's structure block: the sweep-free route's test and, if it fails, its fallback.
 
     {} for a plant with no descriptor form. The fallback's pencil test is of the descriptor
-    gain K = B^T A^{-T}, whatever gain is being verified.
+    gain K = B^T A^{-T}, whatever gain is being verified, and reads Kd's one loop (``_route``).
     """
     desc = plant.descriptor
     if desc is None:
@@ -751,7 +740,8 @@ def structure_checks(plant: RationalPlant) -> dict:
     if not sym.holds:
         pencil = {"applicable": False, "reason": "E is singular"}
         if desc.state_space:
-            pencil = pencil_stability(desc, synth.descriptor_gain(desc))._asdict()
+            kd = synth.descriptor_gain(desc)
+            pencil = pencil_stability(desc, kd, _route(plant, kd)[1])._asdict()
         out["fallback"] = {
             "zero_peak_inequality": asdict(zero_peak_inequality(desc)),
             "pencil_stability": pencil,

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 from pathlib import Path
 
@@ -517,7 +518,8 @@ def test_report_gain_reads_back_bitwise(K):
     block = json.loads(_text(cli._gain_report(Gain(K))))["K"]
     assert len(block["values"]) == np.count_nonzero((K != 0.0) | np.signbit(K))
     with tempfile.TemporaryDirectory() as tmp:
-        back = cli._load_gain(write(Path(tmp) / "k.json", {"K": block}), 0.0).K
+        plant = types.SimpleNamespace(m=K.shape[0], k=K.shape[1])  # the m x k the block must have
+        back = cli._load_gain(write(Path(tmp) / "k.json", {"K": block}), 0.0, plant).K
     assert back.shape == K.shape
     assert back.tobytes() == K.astype(float).tobytes()
 
@@ -559,6 +561,45 @@ def test_malformed_sparse_gain_is_a_schema_error_naming_K(case, lag_model, tmp_p
     code, out, err = _run(["verify", lag_model, "--gain", gain])
     assert (code, out) == (EXIT_SCHEMA, "")
     assert err.startswith("hinfkit: schema error: ") and err.endswith(" (field: K)\n")
+
+
+HUGE_K = {"shape": [10**6, 10**6], "rows": [0], "cols": [0], "values": [-1.0]}
+
+
+@pytest.mark.parametrize("cmd", ["verify", "freqresp"])
+def test_sparse_gain_shape_is_checked_before_it_is_allocated(cmd, lag_model, tmp_path, monkeypatch):
+    # A few-byte block declaring 10^6 x 10^6 on the 1 x 1 lag plant is refused as a
+    # dimension error before np.zeros sees its shape; a large request is refused here.
+    large, real = [], np.zeros
+
+    def zeros(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) > 1e6:
+            large.append(shape)
+            raise MemoryError
+        return real(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    code, out, err = _run([cmd, lag_model, "--gain", write(tmp_path / "k.json", {"K": HUGE_K})])
+    monkeypatch.undo()
+    assert large == []
+    assert (code, out, err) == (EXIT_INVARIANT, "", "hinfkit: invalid model: gain must be 1 x 1, "
+                                                    "got (1000000, 1000000)\n")
+
+
+def test_sparse_gain_with_a_nan_fails_as_dense_rows_do(lag_model, tmp_path):
+    sparse = write(tmp_path / "s.json", {"K": {**SPARSE_K, "values": [math.nan]}})
+    dense = write(tmp_path / "d.json", {"K": [[math.nan]]})
+    code, out, err = _run(["verify", lag_model, "--gain", sparse])
+    assert (code, out, err) == _run(["verify", lag_model, "--gain", dense])
+    assert (code, err) == (EXIT_INVARIANT, "hinfkit: invalid model: gain matrix contains NaN or Inf entries\n")
+
+
+def test_freqresp_refuses_a_machine_network_before_reading_its_gain(tmp_path, monkeypatch):
+    gain = write(tmp_path / "k.json", {"K": HUGE_K})
+    monkeypatch.setattr(cli, "_load_gain", lambda *args: pytest.fail("--gain was read"))
+    code, out, err = _run(["freqresp", write(tmp_path / "m.model", MODELS["machines"]), "--gain", gain])
+    assert (code, out) == (EXIT_INVARIANT, "")
+    assert err == "hinfkit: invalid model: freqresp requires a model with a single plant form\n"
 
 
 def test_well_formed_sparse_gain_verifies(lag_model, tmp_path):

@@ -21,7 +21,7 @@ import hinfkit.verify as verify
 from conftest import random_buffer
 from hinfkit import DescriptorPlant, Gain, buffer_law, certify_optimality, compile_buffer, descriptor_gain
 from hinfkit.sysmodel import StateSpace, close_loop
-from hinfkit.verify import NORM_RTOL, _exactly_symmetric_commuting, hinf_norm_ss
+from hinfkit.verify import NORM_RTOL, hinf_norm_ss
 
 # A 4 x 4 orthogonal matrix with entries +-1/2.
 H4 = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
@@ -89,7 +89,7 @@ def symmetric_plants(draw):
 @given(symmetric_plants(), st.sampled_from(["closed-form", "scaled", "noisy"]), st.floats(0.3, 1.7))
 def test_storage_certificate_reads_what_the_hamiltonian_reads(plant, variant, theta):
     desc, K = plant
-    assert _exactly_symmetric_commuting(desc)
+    assert desc.exactly_symmetric_commuting
     if variant == "scaled":
         K = theta * K
     elif variant == "noisy":
@@ -136,7 +136,7 @@ def test_orthogonal_change_of_state_keeps_the_certificate(name):
     U = dyadic_orthogonal(np.random.default_rng(3), desc.n)
     A = U @ desc.A @ U.T
     moved = DescriptorPlant(U @ desc.E @ U.T, 0.5 * (A + A.T), U @ desc.B)
-    assert _exactly_symmetric_commuting(moved)
+    assert moved.exactly_symmetric_commuting
     (before, t0), (after, t1) = certify(desc, Gain(K)), certify(moved, Gain(K @ U.T))
     assert t0 == t1 == [True]
     same_certificate(after, before)

@@ -752,6 +752,18 @@ def test_one_route_and_one_sigma_evaluator_per_certificate(route, monkeypatch):
     assert counts.get("_grid_sigma", 0) + counts.get("__init__", 0) == 1
 
 
+def test_verify_closes_loops_only_in_route():
+    # Every loop the certificate and the structure checks read is closed in _route,
+    # which keeps the loop of the plant's own Kd once per plant.
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(hinfkit.verify.__file__).read_text())
+    found = [getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+             if "close_loop" in (getattr(node, "id", None), getattr(node, "attr", None))]
+    assert set(found) == {"_route"}
+
+
 def test_qz_calls_read_scipy_eigvals_at_call_time(monkeypatch):
     # scipy is imported inside the QZ functions, so a patch of scipy.linalg.eigvals counts there.
     form, gain = _route_case("qz-grid")

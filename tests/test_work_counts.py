@@ -40,8 +40,9 @@ from hinfkit.sysmodel import close_loop
 from hinfkit.verify import NORM_RTOL, _GramSigma
 from conftest import asym_chain, random_buffer
 from test_batched import rotations
+from test_exact_structure import PLANTS as STRUCTURE_PLANTS
 from test_golden import MODELS
-from test_verify import ROOMS
+from test_verify import ROOMS, _counted
 
 try:
     import numpy.linalg._linalg as numpy_linalg  # numpy >= 2: where norm finds svd
@@ -473,6 +474,50 @@ def test_cascade_verify_solves_the_descriptor_gain_once(tmp_path, monkeypatch):
     assert "pencil_stability" in report["checks"]["fallback"]
     assert [sum(a is plant.A for a in firsts) for plant in plants] == [1]
     assert not plants[0].Kd.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["irrigation3", "irrigation10", "rooms4", "ring4", "buffer20"])
+def test_one_verify_closes_the_descriptor_gain_loop_once(name, tmp_path, monkeypatch):
+    # The certificate, the structure block's pencil test and the zero-peak level test
+    # read one loop of the plant's Kd: one A + B K, one spectrum with no QZ, and one
+    # sigma(0). A buffer verifies its own law, whose loop is the only one closed.
+    model = tmp_path / f"{name}.model"
+    model.write_text(json.dumps(STRUCTURE_PLANTS[name]))
+    counts, at_zero, real = {}, [], _GramSigma._sample
+    for owner, attr in ((hinfkit.verify, "close_loop"), (hinfkit.sysmodel, "closed_state_matrix"),
+                        (hinfkit.verify, "closed_state_matrix"), (hinfkit.linalg, "generalized_eigenvalues"),
+                        (hinfkit.verify, "generalized_eigenvalues")):
+        _counted(monkeypatch, owner, attr, counts)
+    monkeypatch.setattr(_GramSigma, "_sample", lambda self, w: at_zero.append(w) or real(self, w))
+    assert main(["verify", str(model), "--out", str(tmp_path / "report.json")]) == EXIT_OK
+    assert counts == {"close_loop": 1, "closed_state_matrix": 1}
+    assert at_zero.count(0.0) == 1
+
+
+def test_a_gain_equal_to_kd_closes_its_own_loop(tmp_path, monkeypatch):
+    # Only the plant's own Kd array shares its loop. A --gain file holding Kd's exact
+    # entries, or Kd moved by one ulp, closes a loop of its own next to Kd's; the first
+    # certifies as the canonical gain does.
+    model, canonical = tmp_path / "irrigation3.model", tmp_path / "canonical.json"
+    model.write_text(json.dumps(NONSYMMETRIC_DOCS["irrigation3"]))
+    assert main(["verify", str(model), "--out", str(canonical)]) == EXIT_OK
+    Kd = descriptor_gain(_resolve(_parse(str(model))[0]).plant.descriptor).K
+    moved = Kd.copy()
+    moved[0, 0] = np.nextafter(moved[0, 0], np.inf)
+    closed, real, certificates = [], hinfkit.verify.close_loop, {}
+    monkeypatch.setattr(hinfkit.verify, "close_loop", lambda plant, gain: closed.append(gain.K) or real(plant, gain))
+    for label, K in (("exact", Kd), ("moved", moved)):
+        gain, report = tmp_path / f"{label}.gain", tmp_path / f"{label}.json"
+        gain.write_text(json.dumps({"K": K.tolist()}))
+        closed.clear()
+        main(["verify", str(model), "--gain", str(gain), "--out", str(report)])
+        assert len(closed) == 2 and closed[0] is not closed[1]
+        assert closed[0].tobytes() == Kd.tobytes() and closed[1].tobytes() == K.tobytes()
+        certificates[label] = json.loads(report.read_text())["certificate"]
+    want = json.loads(canonical.read_text())["certificate"]
+    assert want["details"]["formula"] == "descriptor"
+    want["details"]["formula"] = "external"
+    assert certificates["exact"] == want != certificates["moved"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 20, 200])
