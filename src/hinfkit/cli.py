@@ -19,9 +19,9 @@ Each operation does each step once: the parser is built once per process,
 resolves it into its report kind, certification plant (linked to its
 descriptor form, if any) and canonical gain, and the report is written in one
 walk to a list of pieces, joined once. Reports are format 2: a gain K is written as
-{"shape", "rows", "cols", "values"}, its entries other than +0.0 by row, and --gain
-reads that block or dense rows. verify builds
-every certificate block; freqresp's table takes _route's sigma_max evaluator
+{"shape", "rows", "cols", "values"}, its entries other than +0.0 by row. --gain reads that
+block or dense rows, and refuses either unless it is m x k, before any block runs. verify
+builds every certificate block; freqresp's table takes _route's sigma_max evaluator
 (verify.sigma_table). The CLI parses, refuses, dispatches and writes; compare refuses a
 singular E. Only synth takes --weighted. --tol (>= 0) and --omega0 must be finite, the
 grid bounds finite with 0 < --grid-min < --grid-max, and --points at least 2.
@@ -239,22 +239,28 @@ def _resolve(model, unit_h=False) -> _Form:
 
 
 def _load_gain(path, omega0, plant) -> Gain:
-    """A gain file's K: a dense matrix or a report's sparse block (``_sparse``), checked; a block
-    whose shape is not ``plant``'s m x k is refused before it is allocated."""
+    """A gain file's K: dense rows or a report's sparse block (``_sparse_entries``), refused
+    unless its shape is ``plant``'s m x k; a sparse block is refused before it is allocated."""
     doc = _read_json(path, "gain", bare="K")[0]
-    if not isinstance(doc.get("K"), dict):
-        return Gain(_matrix(doc, "K"), omega0, "external")
-    shape, *ijv = map(doc["K"].get, ("shape", "rows", "cols", "values"))
+    K = doc["K"] if isinstance(doc.get("K"), dict) else _matrix(doc, "K")
+    shape, *entries = _sparse_entries(K) if isinstance(K, dict) else (K.shape,)
+    if shape != (plant.m, plant.k):
+        raise DimensionError(f"gain must be {plant.m} x {plant.k}, got {shape}")
+    if entries:  # a sparse block's rows, columns and values
+        K = np.zeros(shape)
+        K[entries[0], entries[1]] = entries[2]
+    return Gain(K, omega0, "external")
+
+
+def _sparse_entries(block):
+    """A sparse block's shape and the rows, columns and values of its entries, checked."""
+    shape, *ijv = map(block.get, ("shape", "rows", "cols", "values"))
     with contextlib.suppress(OverflowError):  # an index or value beyond int64 or float
         if _is(shape, (int, int)) and min(shape) >= 0 \
                 and all(map(_is, ijv, ([int], [int], [float]))) and len({*map(len, ijv)}) == 1:
             (r, c), (i, j) = shape, np.array(ijv[:2], dtype=np.int64)
             if ((0 <= i) & (i < r) & (0 <= j) & (j < c)).all() and np.unique(i * c + j).size == len(i):
-                if (r, c) != (plant.m, plant.k):
-                    raise DimensionError(f"gain must be {plant.m} x {plant.k}, got {(r, c)}")
-                K = np.zeros((r, c))
-                K[i, j] = np.array(ijv[2], dtype=float)
-                return Gain(K, omega0, "external")
+                return (r, c), i, j, np.array(ijv[2], dtype=float)
     raise SchemaError("field 'K' is neither a matrix nor a sparse matrix block", field="K")
 
 

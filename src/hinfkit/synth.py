@@ -3,14 +3,15 @@
 Every construction here is explicit: a single frequency sample of the plant
 determines the gain, no iteration involved. All inverses go through
 factor-and-solve; an explicit inverse appears only where the inverse itself
-is the result.
+is the result. The buffer law is read off the compiled buffer plant: its A is
+diagonal, so B^T A^{-1} takes one division per entry.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
+from . import linalg, netgen
 from .exceptions import (
     DimensionError,
     HypothesisViolationError,
@@ -18,7 +19,6 @@ from .exceptions import (
     NotRealGainError,
     StandingAssumptionError,
 )
-from .netgen import NetworkModel, _check_edges, _positive_array
 from .sysmodel import (
     REALNESS_RTOL,
     DescriptorPlant,
@@ -86,24 +86,13 @@ def weighted_gain(plant: RationalPlant, weight, omega0: float = 0.0) -> Gain:
     return Gain(closed_form_gain(plant, omega0).K @ (w.Q.T @ w.Q), omega0, "weighted")
 
 
-def buffer_law(net: NetworkModel) -> Gain:
-    """Per-edge exchange law for diffusive buffers.
-
-    The directed input (i, j) is fed -x_i/a_i + x_j/a_j, so each row of K
-    has exactly two nonzeros. Coincides with the descriptor gain of the
-    compiled buffer plant.
-    """
-    if net.kind != "buffer":
-        raise InvalidInputError(f"expected a buffer model, got kind={net.kind!r}")
-    n = net.nodes
-    a = _positive_array(net.params.get("a"), n, "buffer rates a")
-    _check_edges(n, net.edges)
-    K = np.zeros((2 * len(net.edges), n))
-    for t, (i, j) in enumerate(net.edges):
-        K[2 * t, i] = -1.0 / a[i]
-        K[2 * t, j] = 1.0 / a[j]
-        K[2 * t + 1, j] = -1.0 / a[j]
-        K[2 * t + 1, i] = 1.0 / a[i]
+def buffer_law(net: netgen.NetworkModel) -> Gain:
+    """Per-edge exchange law for diffusive buffers, read off the compiled plant as B^T A^{-1}.
+    A is diagonal, so the directed input (i, j) is fed -x_i/a_i + x_j/a_j, one division per
+    entry: two nonzeros per row of K. K is C-ordered and its zeros are +0.0."""
+    plant = netgen.compile_buffer(net)
+    K = np.divide(plant.B.T, plant.A.diagonal(), order="C")
+    K += 0.0  # 0 / (-a) is -0.0
     return Gain(K, 0.0, "buffer")
 
 
@@ -115,7 +104,9 @@ def _check_block(A: np.ndarray, idx: int) -> None:
         raise HypothesisViolationError(f"subsystem block {idx} is not negative definite")
 
 
-def _normalize_couplings(blocks, couplings):
+def _subsystems(blocks, couplings):
+    """(blocks as float matrices, couplings as (i, j, b_i, b_j), each block's first state)."""
+    blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
     sizes = [b.shape[0] for b in blocks]
     out = []
     for c in couplings:
@@ -136,7 +127,7 @@ def _normalize_couplings(blocks, couplings):
                 f"coupling ({i}, {j}) vectors must have lengths {sizes[i]} and {sizes[j]}"
             )
         out.append((i, j, bi, bj))
-    return out
+    return blocks, out, np.concatenate(([0], np.cumsum(sizes)))
 
 
 def subsystem_law(blocks, couplings) -> Gain:
@@ -153,9 +144,7 @@ def subsystem_law(blocks, couplings) -> Gain:
         if b.shape[0] != b.shape[1]:
             raise DimensionError(f"subsystem block {idx} must be square")
         _check_block(b, idx)
-    couplings = _normalize_couplings(blocks, couplings)
-    sizes = [b.shape[0] for b in blocks]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    blocks, couplings, offsets = _subsystems(blocks, couplings)
     K = np.zeros((len(couplings), int(offsets[-1])))
     for r, (i, j, bi, bj) in enumerate(couplings):
         K[r, offsets[i] : offsets[i + 1]] = np.linalg.solve(blocks[i], bi)
@@ -165,10 +154,7 @@ def subsystem_law(blocks, couplings) -> Gain:
 
 def assemble_subsystem_plant(blocks, couplings) -> DescriptorPlant:
     """Block-diagonal plant whose descriptor gain the subsystem law reproduces."""
-    blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
-    couplings = _normalize_couplings(blocks, couplings)
-    sizes = [b.shape[0] for b in blocks]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    blocks, couplings, offsets = _subsystems(blocks, couplings)
     n = int(offsets[-1])
     A = np.zeros((n, n))
     for idx, b in enumerate(blocks):

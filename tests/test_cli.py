@@ -602,6 +602,28 @@ def test_freqresp_refuses_a_machine_network_before_reading_its_gain(tmp_path, mo
     assert err == "hinfkit: invalid model: freqresp requires a model with a single plant form\n"
 
 
+# A dense gain of the wrong shape is refused as a sparse block is, before any
+# certificate block or sigma table runs: (model, K, the message's shapes).
+WRONG_DENSE_GAIN = {
+    "cascade3": ({"format": 1, "kind": "network", "network_kind": "irrigation", "nodes": 3,
+                  "params": {"alpha": [2.0] * 3, "beta": [1.0] * 3, "tau": [1.0] * 3}},
+                 [[1.0]], "3 x 6, got (1, 1)"),
+    "droop": (MODELS["droop"], [[1.0, 2.0]], "1 x 1, got (1, 2)"),
+}
+
+
+@pytest.mark.parametrize("cmd", ["verify", "freqresp"])
+@pytest.mark.parametrize("name", WRONG_DENSE_GAIN)
+def test_dense_gain_shape_is_checked_before_any_block_runs(name, cmd, tmp_path, monkeypatch):
+    doc, K, shapes = WRONG_DENSE_GAIN[name]
+    for block in ("certificate_blocks", "sigma_table"):
+        ran = lambda *args, _block=block, **kwargs: pytest.fail(f"{_block} ran")  # noqa: E731
+        monkeypatch.setattr(cli.verify, block, ran)
+    code, out, err = _run([cmd, write(tmp_path / "m.model", doc),
+                           "--gain", write(tmp_path / "k.json", {"K": K})])
+    assert (code, out, err) == (EXIT_INVARIANT, "", f"hinfkit: invalid model: gain must be {shapes}\n")
+
+
 def test_well_formed_sparse_gain_verifies(lag_model, tmp_path):
     gain = write(tmp_path / "k.json", {"K": SPARSE_K})
     assert main(["verify", lag_model, "--gain", gain]) == EXIT_OK
@@ -1224,4 +1246,29 @@ def test_cli_reads_no_private_name_of_another_module():
         if isinstance(node, ast.Attribute) and private(node.attr):
             if isinstance(node.value, ast.Name) and node.value.id in modules:
                 found.append(f"{node.value.id}.{node.attr}")
+    assert found == []
+
+
+def test_no_module_reads_a_private_name_of_another_module():
+    # Modules share public names only, but for linalg's two input checks. Each module
+    # is scanned as the CLI is above: private names imported from a sibling module,
+    # and private attributes of a sibling module imported by name.
+    import ast
+
+    shared = {"linalg._require_finite", "linalg._exactly_diagonal"}
+    private = lambda name: name.startswith("_") and not name.endswith("__")
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree, modules, read = ast.parse(path.read_text()), set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("hinfkit")):
+                if node.module is None:
+                    modules |= {alias.asname or alias.name for alias in node.names}
+                owner = (node.module or "").rpartition(".")[2]
+                read += [f"{owner}.{a.name}" for a in node.names if private(a.name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and private(node.attr):
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    read.append(f"{node.value.id}.{node.attr}")
+        found += [f"{path.name}: {name}" for name in read if name not in shared]
     assert found == []

@@ -66,3 +66,14 @@ def test_riccati_baseline_lands_between_bound_and_norm():
     cert = certify_optimality(desc.to_rational(), descriptor_gain(desc))
     gamma_star, _ = gamma_bisect(AreProblem.from_descriptor(desc))
     assert cert.lower_bound * (1 - 1e-6) <= gamma_star <= cert.hinf_norm * (1 + 1e-6)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
+@pytest.mark.parametrize("eps", [1e-9, 1e-11])
+def test_descriptor_norm_finds_a_narrow_peak_at_any_cond_e(eps):
+    # A rotation with damping 1e-5 peaks at 1 / 1e-5 = 100000 at omega = 2.37. An
+    # E with cond(E) >= 1e8 sends the norm to the grid, whose refinement stops short.
+    A = [[-1e-5, 2.37, 0.0], [-2.37, -1e-5, 0.0], [0.0, 0.0, -1.0]]
+    plant = DescriptorPlant(np.diag([1.0, 1.0, eps]), A, [[0.0], [0.0], [1.0]])
+    cert = certify_optimality(plant.to_rational(), Gain(np.zeros((1, 3))))
+    assert cert.hinf_norm >= 100000.0 * (1.0 - 1e-6)

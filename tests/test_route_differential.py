@@ -4,7 +4,8 @@ A descriptor plant with a well-conditioned E is certified on its
 descriptor route (pencil poles, level-set norm). The same coefficient
 tensors with no backlink to the descriptor take the rational route
 (companion-pencil poles, grid norm). Both must reach the same verdict and
-the same norm.
+the same norm. A metamorphic oracle checks the level-set route on its own:
+E -> alpha E keeps the norm and the bound and divides the peak frequency by alpha.
 """
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hinfkit import DescriptorPlant, Gain, RationalPlant, certify_optimality, descriptor_gain
+from hinfkit import (DescriptorPlant, Gain, NetworkModel, RationalPlant, certify_optimality,
+                     compile_network, descriptor_gain)
+from test_exact_structure import PLANTS
 
 # A loop with damping about 0.1: its peak at w = 2.67 samples below its value
 # at w = 0 on the default grid.
@@ -69,3 +72,32 @@ def test_descriptor_and_rational_routes_agree(case):
     assert via_desc.stable and via_grid.stable
     assert via_grid.verdict == via_desc.verdict
     assert via_grid.hinf_norm == pytest.approx(via_desc.hinf_norm, rel=1e-6)
+
+
+def scaling_plant(name):
+    """A plant of the E -> alpha E oracle: a network of ``PLANTS``, or a lightly damped rotation."""
+    if name == "rotation":
+        return DescriptorPlant(np.eye(2), [[-0.05, 2.0], [-2.0, -0.05]], [[1.0], [0.3]])
+    doc = PLANTS[name]
+    return compile_network(NetworkModel(doc["network_kind"], doc["nodes"], doc["edges"], doc["params"]))
+
+
+@pytest.mark.parametrize("alpha", [0.25, 4.0])
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+@pytest.mark.parametrize("name", ["irrigation3", "rooms4", "ring4", "buffer20", "rotation"])
+def test_scaling_e_keeps_the_norm_and_divides_the_peak_frequency(name, theta, alpha):
+    # The loop of (alpha E, A, B) at w is the loop of (E, A, B) at alpha w, so the two
+    # level-set certificates of theta Kd agree up to rounding.
+    desc = scaling_plant(name)
+    scaled = DescriptorPlant(alpha * desc.E, desc.A, desc.B)
+    cert, moved = (certify_optimality(p.to_rational(), Gain(theta * desc.Kd)) for p in (desc, scaled))
+    assert cert.details["method"] == moved.details["method"] == "state-space"
+    assert moved.verdict == cert.verdict
+    assert moved.hinf_norm == pytest.approx(cert.hinf_norm, rel=1e-12, abs=0.0)
+    assert moved.lower_bound == pytest.approx(cert.lower_bound, rel=1e-12, abs=0.0)
+    assert alpha * moved.peak_frequency == pytest.approx(cert.peak_frequency, rel=1e-9, abs=0.0)
+    # The bound's frequency is compared only where the w = 0 level test decides it, and
+    # both read 0.0. The rotation's comes from a grid sweep, which samples the two loops
+    # at different points, and agrees only to about 2e-7.
+    if cert.details["lower_bound_frequency"] == 0.0:
+        assert moved.details["lower_bound_frequency"] == 0.0

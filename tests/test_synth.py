@@ -8,6 +8,7 @@ from hinfkit import (
     NetworkModel,
     NotRealGainError,
     RationalPlant,
+    SingularMatrixError,
     assemble_subsystem_plant,
     buffer_law,
     closed_form_gain,
@@ -166,6 +167,40 @@ class TestBufferLaw:
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(InvalidInputError):
             buffer_law(NetworkModel("buffer", 2, [(0, 1)], {"a": [1.0, 0.0]}))
+
+    @staticmethod
+    def edge_loop(net):
+        """The law written edge by edge: -1/a_i and 1/a_j on input (i, j), then its reverse."""
+        a = np.asarray(net.params["a"], dtype=float)
+        K = np.zeros((2 * len(net.edges), net.nodes))
+        for t, (i, j) in enumerate(net.edges):
+            K[2 * t, i] = -1.0 / a[i]
+            K[2 * t, j] = 1.0 / a[j]
+            K[2 * t + 1, j] = -1.0 / a[j]
+            K[2 * t + 1, i] = 1.0 / a[i]
+        return K
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_is_bitwise_the_edge_loop(self, n, seed):
+        # B^T A^{-1} of the compiled plant: C-ordered, as the loop's B @ K sums in that
+        # order, and with +0.0 off the two nonzeros of each row, as the report writes -0.0.
+        net = random_buffer(np.random.default_rng(seed), n)
+        K = buffer_law(net).K
+        want = self.edge_loop(net)
+        assert K.shape == want.shape and K.tobytes() == want.tobytes()
+        assert K.flags.c_contiguous and not np.signbit(K[K == 0.0]).any()
+
+    @pytest.mark.parametrize("net", [
+        NetworkModel("buffer", 0, [], {"a": []}),
+        NetworkModel("buffer", 2, [(0, 1)], {"a": [1.0, 1e13]}),
+    ], ids=["no-nodes", "rates-spread-1e13"])
+    def test_refuses_what_compile_buffer_refuses(self, net):
+        # The law is the compiled plant's, so a plant compile_buffer refuses has no law.
+        with pytest.raises(SingularMatrixError):
+            compile_buffer(net)
+        with pytest.raises(SingularMatrixError):
+            buffer_law(net)
 
 
 class TestSubsystemLaw:
