@@ -224,9 +224,6 @@ def _resolve(model, unit_h=False) -> _Form:
         if model.kind == "machine":
             m, d, L = netgen.compile_machine(model)
             return _Form(kind, None, lambda _: synth.machine_modal_gains(m, d, L))
-        if model.kind == "buffer":
-            desc = netgen.compile_buffer(model)
-            return _Form(kind, desc.to_rational(), lambda _: synth.buffer_law(model))
         if model.kind == "irrigation":
             desc, H = netgen.compile_irrigation(model, unit_h=unit_h)
             return _Form(kind, desc.to_rational(), lambda _: synth.descriptor_gain(desc), H.tolist())
@@ -235,7 +232,8 @@ def _resolve(model, unit_h=False) -> _Form:
         raise
     except (TypeError, ValueError, OverflowError) as exc:  # numpy refused a value: a ragged array
         raise SchemaError(f"malformed network model: {exc}") from None
-    return _Form(kind, desc.to_rational(), lambda _: synth.descriptor_gain(desc))
+    law = synth.buffer_law if model.kind == "buffer" else synth.descriptor_gain
+    return _Form(kind, desc.to_rational(), lambda _: law(desc))
 
 
 def _load_gain(path, omega0, plant) -> Gain:

@@ -86,11 +86,11 @@ def weighted_gain(plant: RationalPlant, weight, omega0: float = 0.0) -> Gain:
     return Gain(closed_form_gain(plant, omega0).K @ (w.Q.T @ w.Q), omega0, "weighted")
 
 
-def buffer_law(net: netgen.NetworkModel) -> Gain:
-    """Per-edge exchange law for diffusive buffers, read off the compiled plant as B^T A^{-1}.
-    A is diagonal, so the directed input (i, j) is fed -x_i/a_i + x_j/a_j, one division per
-    entry: two nonzeros per row of K. K is C-ordered and its zeros are +0.0."""
-    plant = netgen.compile_buffer(net)
+def buffer_law(net: netgen.NetworkModel | DescriptorPlant) -> Gain:
+    """Per-edge exchange law for diffusive buffers, B^T A^{-1} of the compiled plant: ``net`` itself,
+    or ``compile_buffer(net)`` of a network. A is diagonal, so the directed input (i, j) is fed
+    -x_i/a_i + x_j/a_j, one division per entry: two nonzeros per row of K, C-ordered, zeros +0.0."""
+    plant = net if isinstance(net, DescriptorPlant) else netgen.compile_buffer(net)
     K = np.divide(plant.B.T, plant.A.diagonal(), order="C")
     K += 0.0  # 0 / (-a) is -0.0
     return Gain(K, 0.0, "buffer")

@@ -19,7 +19,8 @@ X = -A^{-1} E tests the level (1 + tol) sigma(0) before the pole seed is sampled
 (bounded real lemma). The plant's exact-structure verdicts, and an E that is
 exactly I, skip each factorization and product they decide. With cond(E) < 1e8,
 the bound and the zero-peak check sweep only if one Hamiltonian level test fails
-to prove a peak at w = 0; every sweep evaluates its grid in stacked batches.
+to prove a peak at w = 0; every sweep evaluates its grid in stacked batches. All three
+level tests hand the blocks of diag(E, E^T)^-1 [[A, R], [-Q, -A^T]] to ``_level_candidates``.
 scipy is imported only at the QZ call sites, so buffer, irrigation and thermal
 commands never load it.
 """
@@ -119,20 +120,24 @@ def pencil_stability(
     return StabilityResult(abscissa < -margin, abscissa)
 
 
-def _level_candidates(H: np.ndarray) -> np.ndarray:
-    """Frequencies of H's near-axis eigenvalues, then the midpoints between them: where a
-    level's Hamiltonian H places its crossings, and a sample between any two of them."""
-    ev = np.linalg.eigvals(H)
+def _level_candidates(A: np.ndarray, R: np.ndarray, Q: np.ndarray, E=None) -> np.ndarray:
+    """Frequencies of the near-axis eigenvalues of diag(E, E^T)^-1 [[A, R], [-Q, -A^T]] (E = I if
+    None), then their midpoints: where a level's crossings lie, and a sample between any two. The
+    one builder of a level Hamiltonian; it solves by E and E^T, so callers check cond(E) < 1e8."""
+    top, bottom = np.hstack((A, R)), np.hstack((Q, A.T))
+    if E is not None:
+        top, bottom = np.linalg.solve(E, top), np.linalg.solve(E.T, bottom)
+    ev = np.linalg.eigvals(np.vstack((top, -bottom)))
     on_axis = np.abs(ev.real) <= AXIS_RTOL * np.maximum(1.0, np.abs(ev))
     freqs = np.unique(np.abs(ev[on_axis].imag))
     return np.concatenate((freqs, 0.5 * (freqs[1:] + freqs[:-1])))
 
 
-def _below_level(H: np.ndarray, sample: Callable, level: float) -> bool:
-    """Whether ``sample`` stays below ``level`` at w = 0 and at each ``_level_candidates(H)``, so
-    the level is crossed nowhere; a sample that raises or is NaN counts as reaching it."""
+def _below_level(sample: Callable, level: float, *blocks: np.ndarray) -> bool:
+    """Whether ``sample`` stays below ``level`` at w = 0 and at each ``_level_candidates(*blocks)``,
+    so the level is crossed nowhere; a sample that raises or is NaN counts as reaching it."""
     try:
-        return bool(np.all(sample(np.append(0.0, _level_candidates(H))) < level))
+        return bool(np.all(sample(np.append(0.0, _level_candidates(*blocks))) < level))
     except (ModelError, np.linalg.LinAlgError):
         return False
 
@@ -260,7 +265,7 @@ def hinf_norm_ss(
 
     for _ in range(NORM_ITER_MAX):
         gamma = (1.0 + tol) * lb
-        cand = _level_candidates(np.block([[A, BBt / gamma**2], [-CtC, -A.T]]))
+        cand = _level_candidates(A, BBt / gamma**2, CtC)
         best, w = max(((smax(x), x) for x in cand), default=(0.0, 0.0))
         # No crossing at gamma, or only near-axis eigenvalues of a level
         # above the peak: gamma bounds the norm from above.
@@ -352,9 +357,7 @@ def _bound_peaks_at_zero(desc: DescriptorPlant, f: Callable, value: float, top: 
     c = (1.0 - 2.0 * freqgrid.TIE_RTOL) / value**2
     if c <= 2.0 * RANK_RTOL * _norm_top(desc, top):
         return False
-    H = np.vstack((np.linalg.solve(E, np.hstack((A, c * np.eye(n) - B @ B.T))),
-                   -np.linalg.solve(E.T, np.hstack((np.eye(n), A.T)))))
-    return _below_level(H, f, 1.0 / math.sqrt(c))
+    return _below_level(f, 1.0 / math.sqrt(c), A, c * np.eye(n) - B @ B.T, np.eye(n), E)
 
 
 def _sup_bound(plant: RationalPlant, Qp: np.ndarray | None, grid) -> BoundResult:
@@ -620,8 +623,7 @@ def _descriptor_loop_below(plant: DescriptorPlant, level: float) -> bool:
         return False
     _, loop, sigma = _route(plant, synth.descriptor_gain(plant))
     gamma = level**-0.5
-    H = np.block([[loop.A, loop.B @ loop.B.T / gamma**2], [-sigma.CtC, -loop.A.T]])
-    return _below_level(H, sigma, gamma)
+    return _below_level(sigma, gamma, loop.A, loop.B @ loop.B.T / gamma**2, sigma.CtC)
 
 
 def zero_peak_inequality(plant: DescriptorPlant, grid=None) -> DominanceResult:

@@ -20,11 +20,14 @@ from hinfkit import (
     DescriptorPlant,
     NetworkModel,
     compile_network,
+    descriptor_gain,
     lower_bound,
     verify,
     zero_peak_inequality,
 )
 from hinfkit.cli import main
+from hinfkit.freqgrid import TIE_RTOL
+from hinfkit.sysmodel import close_loop
 
 LEVEL_TESTS = ("_bound_peaks_at_zero", "_descriptor_loop_below")
 
@@ -151,3 +154,42 @@ def test_reports_do_not_change(kind, size, tmp_path):
             assert main([command, str(model), "--out", str(swept)]) == code
         assert fast.read_bytes() == swept.read_bytes()
     assert set(seen) == {(LEVEL_TESTS[0], True), (LEVEL_TESTS[1], True)}
+
+
+def hand_built_candidates(H):
+    """Near-axis frequencies and their midpoints of a finished Hamiltonian H, as the level
+    test read them when each caller built its own H."""
+    ev = np.linalg.eigvals(H)
+    on_axis = np.abs(ev.real) <= verify.AXIS_RTOL * np.maximum(1.0, np.abs(ev))
+    freqs = np.unique(np.abs(ev[on_axis].imag))
+    return np.concatenate((freqs, 0.5 * (freqs[1:] + freqs[:-1])))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_level_candidates_is_bitwise_the_hand_built_hamiltonians(kind, seed):
+    # The three Hamiltonians the norm, the Kd-loop test and the bound used to build by hand,
+    # each at three levels: the kernel, handed their blocks, returns the same array bit for bit.
+    plant = family_plant(kind, np.random.default_rng(seed), 4)
+    E, A, B, n = plant.E, plant.A, plant.B, plant.n
+    assert plant.rcond_E > 1.0 / verify.REDUCTION_COND_MAX
+    loop = close_loop(plant, descriptor_gain(plant))
+    sigma = verify._GramSigma(loop)
+    lam = np.linalg.eigvalsh(plant.gram)
+    cases = []
+    for s in (0.5, 1.0 + 1e-8, 2.0):
+        gamma = s * sigma(0.0)  # hinf_norm_ss
+        BBt = loop.B @ loop.B.T
+        cases.append(((loop.A, BBt / gamma**2, sigma.CtC),
+                      np.block([[loop.A, BBt / gamma**2], [-sigma.CtC, -loop.A.T]])))
+        gamma = (s * (lam[0] - 1e-9 * lam[-1])) ** -0.5  # _descriptor_loop_below
+        cases.append(((loop.A, loop.B @ loop.B.T / gamma**2, sigma.CtC),
+                      np.block([[loop.A, loop.B @ loop.B.T / gamma**2], [-sigma.CtC, -loop.A.T]])))
+        c = s * (1.0 - 2.0 * TIE_RTOL) * lam[0]  # _bound_peaks_at_zero
+        cases.append(((A, c * np.eye(n) - B @ B.T, np.eye(n), E),
+                      np.vstack((np.linalg.solve(E, np.hstack((A, c * np.eye(n) - B @ B.T))),
+                                 -np.linalg.solve(E.T, np.hstack((np.eye(n), A.T)))))))
+    for blocks, H in cases:
+        got, want = verify._level_candidates(*blocks), hand_built_candidates(H)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert verify._level_candidates(*cases[0][0]).size  # 0.5 sigma(0) lies below the norm

@@ -101,3 +101,22 @@ def test_scaling_e_keeps_the_norm_and_divides_the_peak_frequency(name, theta, al
     # at different points, and agrees only to about 2e-7.
     if cert.details["lower_bound_frequency"] == 0.0:
         assert moved.details["lower_bound_frequency"] == 0.0
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+@pytest.mark.parametrize("name", ["irrigation3", "rooms4", "ring4", "buffer20", "rotation"])
+def test_orthogonal_change_of_state_keeps_the_certificate(name, theta, seed):
+    # x = T z with T orthogonal: (T^T E T, T^T A T, T^T B) under K T has the loop
+    # diag(T^T, I) T(jw) T, whose singular values are those of T(jw), and the Gram
+    # T^T (M M^* + N N^*) T, whose eigenvalues are those of M M^* + N N^*. A non-diagonal
+    # T^T E T sends the bound's w = 0 level test through its solves by E and E^T.
+    desc = scaling_plant(name)
+    T = np.linalg.qr(np.random.default_rng(seed).standard_normal((desc.n, desc.n)))[0]
+    moved = DescriptorPlant(T.T @ desc.E @ T, T.T @ desc.A @ T, T.T @ desc.B)
+    K = theta * desc.Kd
+    cert, turned = (certify_optimality(p.to_rational(), Gain(k)) for p, k in ((desc, K), (moved, K @ T)))
+    assert turned.details["method"] == cert.details["method"] == "state-space"
+    assert turned.verdict == cert.verdict
+    assert turned.hinf_norm == pytest.approx(cert.hinf_norm, rel=1e-12, abs=0.0)
+    assert turned.lower_bound == pytest.approx(cert.lower_bound, rel=1e-12, abs=0.0)

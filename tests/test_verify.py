@@ -764,6 +764,22 @@ def test_verify_closes_loops_only_in_route():
     assert set(found) == {"_route"}
 
 
+def test_verify_builds_level_hamiltonians_only_in_level_candidates():
+    # The norm, the Kd-loop test and the bound's zero-peak test hand the blocks of their
+    # level Hamiltonian to _level_candidates, the one function that stacks blocks or solves
+    # them by E.
+    import ast
+    import re
+    from pathlib import Path
+
+    tree = ast.parse(Path(hinfkit.verify.__file__).read_text())
+    found = {top.name for top in tree.body for node in ast.walk(top)
+             if getattr(node, "attr", None) in ("block", "vstack", "hstack")
+             or isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "solve"
+             and re.fullmatch(r"(.*\.)?E(\.T)?", ast.unparse(node.args[0]))}
+    assert found == {"_level_candidates"}
+
+
 def test_qz_calls_read_scipy_eigvals_at_call_time(monkeypatch):
     # scipy is imported inside the QZ functions, so a patch of scipy.linalg.eigvals counts there.
     form, gain = _route_case("qz-grid")

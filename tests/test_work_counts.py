@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hinfkit.linalg
+import hinfkit.netgen
 import hinfkit.sysmodel
 import hinfkit.verify
 from hinfkit import (
@@ -474,6 +475,17 @@ def test_cascade_verify_solves_the_descriptor_gain_once(tmp_path, monkeypatch):
     assert "pencil_stability" in report["checks"]["fallback"]
     assert [sum(a is plant.A for a in firsts) for plant in plants] == [1]
     assert not plants[0].Kd.flags.writeable
+
+
+@pytest.mark.parametrize("command", ["verify", "synth"])
+def test_buffer_op_compiles_its_network_once(command, tmp_path, monkeypatch):
+    # The CLI compiles the network once, and the buffer law is read off that plant.
+    model = tmp_path / "buffer50.model"
+    model.write_text(json.dumps(buffer_doc(50)))
+    counts = {}
+    _counted(monkeypatch, hinfkit.netgen, "compile_buffer", counts)
+    assert main([command, str(model), "--out", str(tmp_path / "report.json")]) == EXIT_OK
+    assert counts == {"compile_buffer": 1}
 
 
 @pytest.mark.parametrize("name", ["irrigation3", "irrigation10", "rooms4", "ring4", "buffer20"])
