@@ -34,6 +34,7 @@ from .exceptions import (
     StandingAssumptionError,
 )
 from .freqgrid import default_grid
+from .linalg import RANK_RTOL, REDUCTION_COND_MAX
 
 # Gains whose relative imaginary residue exceeds this are rejected as
 # non-realizable; see synth.
@@ -373,6 +374,74 @@ def close_loop(plant: DescriptorPlant, gain: Gain) -> StateSpace:
     C = np.vstack([np.eye(n), gain.K])
     D = np.zeros((n + m, n))
     return StateSpace(Acl, Bcl, C, D, plant)
+
+
+def join_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient tensors side by side, padded to a common degree."""
+    out = np.zeros((max(len(a), len(b)), a.shape[1], a.shape[2] + b.shape[2]))
+    out[: len(a), :, : a.shape[2]] = a
+    out[: len(b), :, a.shape[2] :] = b
+    return out
+
+
+def realize_loop(plant: RationalPlant, gain: Gain) -> StateSpace | None:
+    """The loop [I; K] L(s)^{-1}, L = M - N K, as xdot = A x + B w, z = [C_y; K C_y] x, or None.
+
+    Column j of L is a polynomial part of degree d_j plus r_j / p_j over one monic denominator
+    (Rosenbrock's system matrix): states s^i y_j, i < d_j, and a companion block of p_j driven by
+    y_j. The leading coefficients form E0 in E = diag(E0, I), by which A and B are solved (droop:
+    (y, int y), E = diag(1/w0^2, 1)). None if some d_j is 0 (feedthrough), cond(E0) >= 1e8, a
+    column holds two denominators, L overflows, or the realization may not be minimal: a root r
+    of p_c is not simple (|p_c'(r)| within sqrt(eps) of its scale, as a root of multiplicity m
+    computed ~eps^(1/m) off is), or the residues r_c(r) / p_c'(r) of the columns sharing r lack
+    full column rank.
+    """
+    K, k, poly = gain.K, plant.k, np.polynomial.polynomial
+    if K.shape != (plant.m, k):
+        raise DimensionError(f"gain must be {plant.m} x {k}, got {K.shape}")
+    fed = np.flatnonzero(K.any(axis=1))
+    num, den = (join_columns(a, b[:, :, fed]) for a, b in ((plant.m_num, plant.n_num), (plant.m_den, plant.n_den)))
+    num = np.pad(num, ((0, max(len(den) - len(num), 0)), (0, 0), (0, 0)))  # room for each remainder
+    lead = np.take_along_axis(den, (len(den) - 1 - (den[::-1] != 0).argmax(0))[None], 0)
+    dens = {}  # each distinct monic denominator, trimmed, by its bytes
+    ids = np.array([dens.setdefault(c.tobytes(), (len(dens), c[: np.flatnonzero(c)[-1] + 1]))[0]
+                    for c in (den / lead + 0.0).reshape(len(den), -1).T]).reshape(num.shape[1:])
+    dens, num, quo, rem = [c for _, c in dens.values()], num / lead, np.zeros_like(num), np.zeros_like(num)
+    for t, p in enumerate(dens):  # long division by each p
+        q, r, at, deg = np.zeros_like(num), num.copy(), ids == t, len(p) - 1
+        for i in range(len(r) - 1, deg - 1, -1):
+            q[i - deg] = r[i]
+            r[i - deg : i + 1] -= r[i] * p[:, None, None]
+        quo[:, at], rem[:deg, at] = q[:, at], r[:deg, at]
+    W = np.vstack([np.eye(k), -K[fed]])  # L = [M, N_fed] W
+    with np.errstate(over="ignore", invalid="ignore"):
+        P, R = quo @ W, rem @ W
+    reads = rem.any(0) & (W != 0).T[:, None, :]  # (j, i, c): the remainders column j of L reads
+    used = [set(ids[reads[j]].tolist()) for j in range(k)]
+    d = (len(P) - 1 - P.any(1)[::-1].argmax(0)) * P.any((0, 1))  # each column's degree
+    E0 = P[d, :, range(k)].T
+    if d.min() == 0 or max(map(len, used)) > 1 or not (np.isfinite(P).all() and np.isfinite(R).all()) \
+            or linalg.rcond(E0) <= 1.0 / REDUCTION_COND_MAX:
+        return None
+    p = [dens[min(u)] if u else np.ones(1) for u in used]
+    der = [q[1:] * np.arange(1.0, len(q)) for q in p]
+    for r in np.unique(np.concatenate([np.zeros(0), *(np.roots(q[::-1]) for q in p if len(q) > 1)])):
+        share = [c for c in range(k) if abs(poly.polyval(r, p[c])) <= RANK_RTOL * poly.polyval(abs(r), abs(p[c]))]
+        slope = [(poly.polyval(r, der[c]), poly.polyval(abs(r), abs(der[c]))) for c in share]  # p_c'(r), scale
+        res = [poly.polyval(r, R[: len(p[c]) - 1, :, c]) / v for c, (v, top) in zip(share, slope)
+               if abs(v) > np.finfo(float).eps ** 0.5 * top]  # the residues at r, if r is simple
+        if not 0 < len(res) == len(share) <= k or linalg.rcond(np.array(res).T) <= RANK_RTOL:
+            return None
+    n = d.sum() + sum(map(len, p)) - k
+    A, B, C, at = np.zeros((n, n)), np.zeros((n, k)), np.zeros((k, n)), k
+    for j in range(k):
+        chain, at = [*range(at, at + d[j] - 1), j], at + d[j] - 1  # s^i y_j, i = 0 .. d_j - 1
+        block, at = list(range(at, at + len(p[j]) - 1)), at + len(p[j]) - 1
+        A[chain[:-1], chain[1:]] = A[block[:-1], block[1:]] = A[block[-1:], chain[0]] = 1.0
+        A[:k, chain], A[:k, block], A[block[-1:], block] = -P[: d[j], :, j].T, -R[: len(block), :, j].T, -p[j][:-1]
+        C[j, chain[0]] = 1.0
+    A[:k], B[:k] = np.hsplit(np.linalg.solve(E0, np.hstack([A[:k], np.eye(k)])), [n])
+    return StateSpace(A, B, np.vstack([C, K @ C]), np.zeros((k + plant.m, k)))
 
 
 def eval_closed_rational(plant: RationalPlant, gain: Gain, omega) -> np.ndarray:

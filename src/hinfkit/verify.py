@@ -5,10 +5,10 @@ closed-loop H-infinity norm with its peak frequency, and the synthesis
 lower bound sup_w ||(M M^* + N N^*)^{-1}||^{1/2}. The gain is optimal when
 the loop is stable, the norm meets the lower bound, and sigma_max of the loop
 at the frequency the gain was sampled at meets it too, so that frequency
-attains the norm. ``_route`` fixes the route from rcond(E) before anything is
-computed: poles from the pencil (A + B K, E) if E passes the rank test, else
-from the block-companion pencil of the cleared loop M - N K; the norm from
-Hamiltonian level sets if also cond(E) < 1e8, else from a frequency grid. It
+attains the norm. ``_route`` fixes the route before anything is computed: poles
+from the pencil (A + B K, E) and Hamiltonian level sets if cond(E) < 1e8; a plant
+with no descriptor realizes its loop (``realize_loop``) for both; else the pencil's
+QZ or the block-companion pencil of the cleared M - N K, and a frequency grid. It
 closes the loop and builds its one sigma_max(T(jw)) evaluator, which the norm,
 sigma0 and ``sigma_table`` read; the pole test and the norm's Hurwitz check read
 the loop's one spectrum. The loop of the plant's own Kd = B^T A^{-T} is closed
@@ -22,7 +22,7 @@ the bound and the zero-peak check sweep only if one Hamiltonian level test fails
 to prove a peak at w = 0; every sweep evaluates its grid in stacked batches. All three
 level tests hand the blocks of diag(E, E^T)^-1 [[A, R], [-Q, -A^T]] to ``_level_candidates``.
 scipy is imported only at the QZ call sites, so buffer, irrigation and thermal
-commands never load it.
+commands, and rational plants that realize_loop takes, never load it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import asdict, astuple, dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -57,7 +57,9 @@ from .sysmodel import (
     close_loop,
     closed_state_matrix,
     eval_closed_rational,
+    join_columns,
     modal_plant,
+    realize_loop,
 )
 
 # Closed-loop eigenvalues must clear the imaginary axis by this margin,
@@ -201,7 +203,7 @@ def _grid_sigma(plant: RationalPlant, gain: Gain) -> Callable:
 
 def _bounds_norm(ss: StateSpace, Y: np.ndarray, CtC: np.ndarray, gamma: float) -> bool:
     """Whether a Cholesky factorization of -Q - delta I succeeds, X = (Y + Y^T) / 2, or diag(Y)
-    for a vector Y, whose products scale rows.
+    for a vector Y, whose products scale rows; B is then E^{-1}, diagonal, and X B B^T X its squares.
 
     Q = A^T X + X A + C^T C + X B B^T X / gamma^2 <= 0 gives sigma_max(T(jw)) <= gamma at
     every w (bounded real lemma). delta = 8 n eps (2 ||A^T X|| + ||C^T C|| + ||X B / gamma||^2)
@@ -209,10 +211,11 @@ def _bounds_norm(ss: StateSpace, Y: np.ndarray, CtC: np.ndarray, gamma: float) -
     """
     n, X = Y.shape[0], Y[:, None] if Y.ndim == 1 else 0.5 * (Y + Y.T)
     XA, XB = (X * ss.A, X * ss.B / gamma) if Y.ndim == 1 else (X @ ss.A, X @ ss.B / gamma)
+    XBBX = np.diag(XB.diagonal() ** 2) if Y.ndim == 1 else XB @ XB.T
     scale = 2.0 * np.linalg.norm(XA, 1) + np.linalg.norm(CtC, np.inf)
     delta = 8.0 * n * np.finfo(float).eps * (scale + np.linalg.norm(XB, np.inf) ** 2)
     try:
-        np.linalg.cholesky(-delta * np.eye(n) - XA - XA.T - CtC - XB @ XB.T)
+        np.linalg.cholesky(-delta * np.eye(n) - XA - XA.T - CtC - XBBX)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -409,14 +412,6 @@ def weighted_lower_bound(plant: RationalPlant, weight, grid=None) -> BoundResult
     return _sup_bound(plant, w.pinv, grid)
 
 
-def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficient tensors side by side, padded to a common degree."""
-    out = np.zeros((max(len(a), len(b)), a.shape[1], a.shape[2] + b.shape[2]))
-    out[: len(a), :, : a.shape[2]] = a
-    out[: len(b), :, a.shape[2] :] = b
-    return out
-
-
 def _cleared(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Columns num_j times the product of the distinct den columns other than den_j."""
     import scipy.linalg
@@ -432,23 +427,24 @@ def _cleared(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def rational_stability(plant: RationalPlant, gain: Gain) -> StabilityResult:
-    """Pole test for gains on plants with no descriptor form.
+def rational_stability(plant: RationalPlant, gain: Gain, loop: StateSpace | None = None) -> StabilityResult:
+    """Pole test for gains on plants with no descriptor form: every pole left of -1e-9 (1 + max |pole|).
 
-    Row i of M - N K is cleared by the product of the distinct denominators
-    in row i of M and of the N columns that K feeds, which gives a
-    polynomial matrix P(s) = sum_t C_t s^t. The poles are the finite
-    eigenvalues of its block-companion pencil, from one QZ factorization.
-    Infinite eigenvalues, which a singular leading block C_d brings, are
-    dropped; a pair with alpha = beta = 0 means det P vanishes identically.
-    A gain that overflows M - N K raises InvalidInputError.
+    The poles are the ``poles`` of the loop ``realize_loop`` built, if given. Else row i of
+    M - N K is cleared by the product of the distinct denominators in row i of M and of the N
+    columns that K feeds, which gives a polynomial matrix P(s) = sum_t C_t s^t, and the poles
+    are the finite eigenvalues of its block-companion pencil, from one QZ factorization.
+    Infinite eigenvalues, which a singular leading block C_d brings, are dropped; a pair with
+    alpha = beta = 0 means det P vanishes identically. An overflowing gain raises InvalidInputError.
     """
+    if loop is not None:
+        return _clear_of_axis(loop.poles)
     K, k = gain.K, plant.k
     if K.shape != (plant.m, k):
         raise DimensionError(f"gain must be {plant.m} x {k}, got {K.shape}")
     fed = np.flatnonzero(K.any(axis=1))
-    num = _join(plant.m_num, plant.n_num[:, :, fed])
-    den = _join(plant.m_den, plant.n_den[:, :, fed])
+    num = join_columns(plant.m_num, plant.n_num[:, :, fed])
+    den = join_columns(plant.m_den, plant.n_den[:, :, fed])
     rows = [_cleared(num[:, i], den[:, i]) for i in range(k)]
     C = np.zeros((max(2, *(len(r) for r in rows)), k, k))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -469,9 +465,12 @@ def rational_stability(plant: RationalPlant, gain: Gain) -> StabilityResult:
     if np.any((a <= RANK_RTOL * np.linalg.norm(A)) & (b <= RANK_RTOL * np.linalg.norm(B))):
         return StabilityResult(False, math.inf)
     finite = b > RANK_RTOL * a
-    if not finite.any():
+    return _clear_of_axis(alpha[finite] / beta[finite])
+
+
+def _clear_of_axis(poles: np.ndarray) -> StabilityResult:
+    if not poles.size:
         return StabilityResult(True, -math.inf)
-    poles = alpha[finite] / beta[finite]
     abscissa = float(poles.real.max())
     margin = STABILITY_MARGIN_RTOL * (1.0 + float(np.abs(poles).max()))
     return StabilityResult(abscissa < -margin, abscissa)
@@ -483,14 +482,18 @@ def _route(
     """(desc, loop, sigma): the certificate's route, read from rcond(E) alone.
 
     ``desc`` is the descriptor for the pencil pole test if E passes the rank test, else None
-    (the block-companion pencil). If also cond(E) < REDUCTION_COND_MAX, ``loop`` is the loop
-    closed for level sets and ``sigma`` its _GramSigma; else ``loop`` is None and ``sigma``
-    is _grid_sigma. ``sigma``, w -> sigma_max(T(jw)), is the loop's one evaluator; both
+    (``rational_stability``). If also cond(E) < REDUCTION_COND_MAX, ``loop`` is the loop
+    closed for level sets and ``sigma`` its _GramSigma; a plant with no descriptor takes
+    ``realize_loop``'s loop. Else, or if that refuses, ``loop`` is None and ``sigma`` is
+    _grid_sigma. ``sigma``, w -> sigma_max(T(jw)), is the loop's one evaluator; both
     kinds raise PoleOnAxisError at a pole on the axis. Kd's own array (not an equal one) closes
     its loop once per plant (``desc.kd_loop``). ``plant`` may be a descriptor with cond(E) < 1e8.
     """
     desc = plant if isinstance(plant, DescriptorPlant) else plant.descriptor
-    if desc is None or not desc.state_space:
+    if desc is None:
+        loop = realize_loop(plant, gain)
+        return None, loop, _grid_sigma(plant, gain) if loop is None else _GramSigma(loop)
+    if not desc.state_space:
         return None, None, _grid_sigma(plant, gain)
     if desc.rcond_E <= 1.0 / REDUCTION_COND_MAX:
         return desc, None, _grid_sigma(plant, gain)
@@ -503,13 +506,22 @@ def _route(
     return desc, *desc.kd_loop
 
 
+def _entry_poles(plant: RationalPlant, w) -> np.ndarray:
+    """Where an entry of M(jw) or N(jw) has a pole: NaN on the grid, left out of a realized loop too."""
+    w = np.atleast_1d(w)
+    return np.isnan(plant.eval_M(w)[:, 0, 0] + plant.eval_N(w)[:, 0, 0])
+
+
 def sigma_table(plant: RationalPlant, gain: Gain, grid) -> list[tuple[float, float, int]]:
-    """(w, sigma_max(T(jw)), is_peak) at each grid frequency that is not an entry pole.
+    """(w, sigma_max(T(jw)), is_peak) at each grid frequency that is not an entry pole, on every route.
 
     sigma is ``_route``'s evaluator, so the row at omega0 is the certificate's sigma0, bit for
     bit; the peak is the first row within TIE_RTOL of the largest value."""
-    _, _, smax = _route(plant, gain)
-    ws, vs = freqgrid.kept_samples(np.asarray(grid, dtype=float), smax(grid))
+    desc, loop, smax = _route(plant, gain)
+    grid, vs = np.asarray(grid, dtype=float), smax(grid)
+    if desc is None and loop is not None:
+        vs[_entry_poles(plant, grid)] = np.nan
+    ws, vs = freqgrid.kept_samples(grid, vs)
     peak = int(np.argmax(vs >= vs.max() * (1.0 - freqgrid.TIE_RTOL)))
     return [(w, v, int(i == peak)) for i, (w, v) in enumerate(zip(ws.tolist(), vs.tolist()))]
 
@@ -546,7 +558,7 @@ def certify_optimality(
     verdict; an error raised while computing the norm propagates.
     """
     desc, loop, smax = _route(plant, gain)
-    stab = rational_stability(plant, gain) if desc is None else pencil_stability(desc, gain, loop)
+    stab = rational_stability(plant, gain, loop) if desc is None else pencil_stability(desc, gain, loop)
 
     lb = lower_bound(plant, grid=grid)
     details = {
@@ -562,12 +574,13 @@ def certify_optimality(
             res = adaptive_max(smax, grid=grid, batched=True)
             norm, peak = res.value, res.omega
         else:
-            E, A, X = desc.E, desc.A, None  # X = -A^{-1} E: its diagonal for diagonal A, E
-            if desc.exactly_symmetric_commuting:
-                X = -E.diagonal() / A.diagonal() if desc.exactly_diagonal else -np.linalg.solve(A, E)
+            X = None  # X = -A^{-1} E: its diagonal for diagonal A, E
+            if desc is not None and desc.exactly_symmetric_commuting:
+                X = -desc.E.diagonal() / desc.A.diagonal() if desc.exactly_diagonal else -np.linalg.solve(desc.A, desc.E)
             norm, peak = hinf_norm_ss(loop, sigma=smax, storage=X)
         try:
-            sigma0 = float(smax(gain.omega0))
+            at_pole = desc is None and loop is not None and _entry_poles(plant, gain.omega0)[0]
+            sigma0 = math.nan if at_pole else float(smax(gain.omega0))
         except (PoleAtEvaluationError, PoleOnAxisError):
             sigma0 = math.nan
         slack = tol * (1.0 + lb.value)
@@ -709,14 +722,20 @@ def symmetric_commuting_check(plant: DescriptorPlant) -> SymmetryReport:
     zero and no frequency sweep is needed to certify it. A residue E - E^T,
     A - A^T or E A - A E that is exactly zero passes with no norm taken;
     ||E|| and ||A|| are taken only if some residue is nonzero. The definiteness
-    of an exactly diagonal E or A is read from its diagonal's signs, not eigvalsh.
+    of an exactly diagonal E or A is read from its diagonal's signs, not eigvalsh. ||M||_2 lies in
+    [||M||_F / sqrt(n), ||M||_F], each end widened by 8 n^2 eps (a Frobenius norm's rounding
+    against an SVD's); the SVDs run only for a flag those ends leave open, so no flag moves.
     """
     E, A, flags = plant.E, plant.A, [True] * 3
     if not plant.exactly_symmetric_commuting:
-        residues = (E - E.T, A - A.T, E @ A - A @ E)
-        ne, na = spectral_norm(E), spectral_norm(A)
-        caps = (1e-12 * max(ne, 1e-300), 1e-12 * max(na, 1e-300), 1e-10 * max(ne * na, 1e-300))
-        flags = [not r.any() or spectral_norm(r) <= cap for r, cap in zip(residues, caps)]
+        residues, wide = (E - E.T, A - A.T, E @ A - A @ E), 1.0 + 8.0 * plant.n**2 * np.finfo(float).eps
+        ends = lambda M: (spectral_norm(M),) * 2 if linalg._exactly_diagonal(M) else (  # noqa: E731
+            np.linalg.norm(M) / (math.sqrt(plant.n) * wide), np.linalg.norm(M) * wide)
+        caps = lambda ne, na: (1e-12 * max(ne, 1e-300), 1e-12 * max(na, 1e-300), 1e-10 * max(ne * na, 1e-300))  # noqa: E731
+        (e_lo, e_hi), (a_lo, a_hi) = ends(E), ends(A)
+        exact = cache(lambda: caps(spectral_norm(E), spectral_norm(A)))  # the SVDs, once, if asked
+        flags = [not r.any() or ends(r)[1] <= lo or ends(r)[0] <= hi and spectral_norm(r) <= exact()[i]
+                 for i, (r, lo, hi) in enumerate(zip(residues, caps(e_lo, a_lo), caps(e_hi, a_hi)))]
     sym_e, sym_a, commuting = flags
 
     def eig(M, i):  # eigenvalue i, ascending, of M's symmetric part

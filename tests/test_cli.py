@@ -301,14 +301,14 @@ class TestGenerate:
         assert not out.exists()
 
 
+# E = diag(1, 0), A = -I, B = I: an algebraic second state.
+SINGULAR_E = {"format": 1, "kind": "descriptor", "E": [[1.0, 0.0], [0.0, 0.0]],
+              "A": [[-1.0, 0.0], [0.0, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}
+
+
 @pytest.fixture
 def singular_e_model(tmp_path):
-    """E = diag(1, 0), A = -I, B = I: an algebraic second state."""
-    return write(
-        tmp_path / "singular_e.model",
-        {"format": 1, "kind": "descriptor", "E": [[1.0, 0.0], [0.0, 0.0]],
-         "A": [[-1.0, 0.0], [0.0, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]},
-    )
+    return write(tmp_path / "singular_e.model", SINGULAR_E)
 
 
 class TestSingularDescriptor:
@@ -693,7 +693,7 @@ def test_verify_slow_stable_pole_reads_stable(slow_pole_args, tmp_path):
     assert main(["verify", *slow_pole_args, "--out", str(out)]) == EXIT_SUBOPTIMAL
     cert = json.loads(out.read_text())["certificate"]
     assert cert["stable"] is True
-    assert cert["details"]["method"] == "grid"
+    assert cert["details"]["method"] == "state-space"
     assert cert["hinf_norm"] == pytest.approx(slow_pole_norm_at_zero(), rel=1e-6)
 
 
@@ -787,9 +787,16 @@ def test_freqresp_ill_conditioned_E_follows_the_certificate(tmp_path):
     assert _zero_row(args, tmp_path) == "2.002306712234053"
 
 
-@pytest.mark.parametrize("name, method", [("rooms", "state-space"), ("double_pole", "grid")])
+# M = s + 2 + 1/(s + 1), N = 1/(s + 3): two denominators in one column of M - N K, which
+# realize_loop refuses, so the plant keeps the grid route.
+TWO_DENOMINATORS = {"format": 1, "kind": "rational", "M": [[{"num": [3.0, 3.0, 1.0], "den": [1.0, 1.0]}]],
+                    "N": [[{"num": [1.0], "den": [3.0, 1.0]}]]}
+
+
+@pytest.mark.parametrize("name, method", [("rooms", "state-space"), ("double_pole", "state-space"),
+                                          ("two_denominators", "grid")])
 def test_freqresp_zero_row_is_the_certificate_sigma0(name, method, tmp_path):
-    args = [write(tmp_path / f"{name}.model", MODELS[name])]
+    args = [write(tmp_path / f"{name}.model", {**MODELS, "two_denominators": TWO_DENOMINATORS}[name])]
     cert = _certificate(args, tmp_path)
     assert cert["details"]["method"] == method and cert["details"]["omega0"] == 0.0
     assert _zero_row(args, tmp_path) == repr(cert["details"]["omega0_sigma_max"])
@@ -932,13 +939,15 @@ print(json.dumps(steps))
 
 def test_scipy_loads_only_where_qz_runs(tmp_path):
     # scipy.linalg is most of a cold start, so only QZ call sites import it: buffer, irrigation
-    # and thermal verifies, the Riccati baseline and the droop plant's sweeps never load it, and
-    # the droop verify (its pole test is QZ) does. A fresh interpreter, as this one has scipy.
+    # and thermal verifies, the Riccati baseline and every droop command (its loop is realized,
+    # so its pole test is eig) never load it, and the verify of a singular-E descriptor (its
+    # pole test is the companion pencil's QZ) does. A fresh interpreter, as this one has scipy.
     docs = {"buffer": MODELS["line_buffer"], "irrigation": IRRIGATION, "thermal": MODELS["rooms"],
-            "droop": MODELS["droop"]}
+            "droop": MODELS["droop"], "singular": SINGULAR_E}
     paths = {name: write(tmp_path / f"{name}.model", doc) for name, doc in docs.items()}
     runs = [("verify", "buffer"), ("verify", "irrigation"), ("verify", "thermal"), ("compare", "buffer"),
-            ("freqresp", "droop"), ("lower-bound", "droop"), ("synth", "droop"), ("verify", "droop")]
+            ("freqresp", "droop"), ("lower-bound", "droop"), ("synth", "droop"), ("verify", "droop"),
+            ("verify", "singular")]
     argvs = [[cmd, paths[name], *(["--omega0", "2"] if name == "droop" else [])] for cmd, name in runs]
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],

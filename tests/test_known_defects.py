@@ -38,7 +38,6 @@ def _droop_mode(omega, zeta):
     return [1.0, 2.0 * zeta / omega, 1.0 / omega**2], [0.0, 1.0]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_grid_norm_finds_a_narrow_peak():
     # Two droop modes; the one at omega = 2.37 peaks at 2.37 / (2 zeta) = 118500,
     # narrower than the grid's spacing there.

@@ -2,19 +2,30 @@
 
 A descriptor plant with a well-conditioned E is certified on its
 descriptor route (pencil poles, level-set norm). The same coefficient
-tensors with no backlink to the descriptor take the rational route
-(companion-pencil poles, grid norm). Both must reach the same verdict and
-the same norm. A metamorphic oracle checks the level-set route on its own:
-E -> alpha E keeps the norm and the bound and divides the peak frequency by alpha.
+tensors with no backlink to the descriptor are realized (``realize_loop``)
+and certified on level sets with the realized poles; forced to refuse, the
+builder sends them to the grid route (companion-pencil poles, grid norm).
+All must reach the same verdict and the same norm. Rational plants with no
+descriptor form are realized and checked against their own tensors, the
+companion pencil and the grid. A metamorphic oracle checks the level-set
+route on its own: E -> alpha E keeps the norm and the bound and divides the
+peak frequency by alpha.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hinfkit.verify
 from hinfkit import (DescriptorPlant, Gain, NetworkModel, RationalPlant, certify_optimality,
-                     compile_network, descriptor_gain)
+                     compile_network, descriptor_gain, droop_gain, droop_plant, eval_closed_rational,
+                     modal_plant, rational_stability, synth)
+from hinfkit.freqgrid import default_grid
+from hinfkit.sysmodel import realize_loop
+from hinfkit.verify import NORM_RTOL
 from test_exact_structure import PLANTS
 
 # A loop with damping about 0.1: its peak at w = 2.67 samples below its value
@@ -24,11 +35,22 @@ MODERATE_B = [[-0.062], [-0.029], [0.755]]
 MODERATE_K = [[0.277, -0.382, -0.238]]
 
 
-def both_routes(desc: DescriptorPlant, gain: Gain):
-    """(descriptor-route certificate, rational-route certificate) of one loop."""
+def on_the_grid(plant: RationalPlant, gain: Gain):
+    """The certificate of a plant with no descriptor with realize_loop refusing it: the grid route."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hinfkit.verify, "realize_loop", lambda plant, gain: None)
+        return certify_optimality(plant, gain)
+
+
+def bare(desc: DescriptorPlant) -> RationalPlant:
+    """The descriptor's coefficient tensors with no backlink to it."""
     linked = desc.to_rational()
-    bare = RationalPlant._from_tensors(linked.m_num, linked.m_den, linked.n_num, linked.n_den)
-    return certify_optimality(linked, gain), certify_optimality(bare, gain)
+    return RationalPlant._from_tensors(linked.m_num, linked.m_den, linked.n_num, linked.n_den)
+
+
+def both_routes(desc: DescriptorPlant, gain: Gain):
+    """(descriptor-route certificate, grid-route certificate of the bare tensors) of one loop."""
+    return certify_optimality(desc.to_rational(), gain), on_the_grid(bare(desc), gain)
 
 
 def test_moderate_damping_peak_is_found_on_the_grid():
@@ -72,6 +94,62 @@ def test_descriptor_and_rational_routes_agree(case):
     assert via_desc.stable and via_grid.stable
     assert via_grid.verdict == via_desc.verdict
     assert via_grid.hinf_norm == pytest.approx(via_desc.hinf_norm, rel=1e-6)
+    # The bare tensors realize to the descriptor's own loop, (E s - A - B K) x = w.
+    realized = certify_optimality(bare(case[0]), case[1])
+    assert realized.details["method"] == "state-space" and realized.verdict == via_desc.verdict
+    assert realized.hinf_norm == pytest.approx(via_desc.hinf_norm, rel=1e-12, abs=0.0)
+
+
+def _dense(k):
+    """M = E s^2 + F s + L, N = B, as perfbench's dense quadratic plants, at rng seed 5."""
+    rng = np.random.default_rng(5 + k)
+    X = rng.standard_normal((k, k))
+    L, B = X @ X.T / k + np.eye(k), rng.standard_normal((k, 2))
+    F = 2.0 * np.eye(k) + 0.3 * rng.standard_normal((k, k)) / math.sqrt(k)
+    E = np.eye(k) + 0.1 * rng.standard_normal((k, k)) / math.sqrt(k)
+    plant = RationalPlant([[[L[i, j], F[i, j], E[i, j]] for j in range(k)] for i in range(k)],
+                          [[[b] for b in row] for row in B])
+    return plant, synth.closed_form_gain(plant, 0.0)
+
+
+def _two_modes():
+    """The item-2 plant: droop modes (1, 1e-2) and (2.37, 1e-5) on the diagonal, N = [1; 1], K = 0."""
+    mode = lambda w, z: ([1.0, 2.0 * z / w, 1.0 / w**2], [0.0, 1.0])  # noqa: E731
+    zero = ([0.0], [1.0])
+    return RationalPlant([[mode(1.0, 1e-2), zero], [zero, mode(2.37, 1e-5)]], [[[1.0]], [[1.0]]]), \
+        Gain(np.zeros((1, 2)))
+
+
+# name: () -> (rational plant with no descriptor form, gain)
+REALIZED = {
+    **{f"droop-{w0}-{zeta:.3f}": (lambda w0=w0, zeta=zeta: (droop_plant(w0, zeta), droop_gain(w0, zeta)))
+       for w0 in (0.5, 1.0, 2.0, 5.0) for zeta in np.geomspace(0.03, 0.7, 4)},
+    **{f"modal-{lam}": (lambda lam=lam: (modal_plant(1.5, 0.8, lam), Gain([[-1.0 / 0.8]])))
+       for lam in (0.0, 0.7, 3.0)},
+    "double-pole": lambda: (RationalPlant([[[4.0, 4.0, 1.0]]], [[[1.0, 1.0]]]), Gain([[-0.25]])),
+    **{f"dense-{k}": (lambda k=k: _dense(k)) for k in range(2, 9)},
+    "two-modes": _two_modes,
+}
+
+
+@pytest.mark.parametrize("name", REALIZED)
+def test_realized_loop_is_the_rational_loop(name):
+    plant, gain = REALIZED[name]()
+    loop = realize_loop(plant, gain)
+    grid = default_grid()
+    T = eval_closed_rational(plant, gain, grid)
+    for w, Tw in zip(grid, T):
+        if not np.isnan(Tw[0, 0]):  # entry poles of M or N
+            assert np.abs(loop.transfer(w) - Tw).max() <= 1e-10 * np.abs(Tw).max()
+    cert, via_grid = certify_optimality(plant, gain), on_the_grid(plant, gain)
+    assert cert.details["method"] == "state-space" and via_grid.details["method"] == "grid"
+    assert cert.stable == rational_stability(plant, gain).stable == via_grid.stable
+    if cert.stable:
+        # The grid can only read low, here by at most 1e-6 but on the item-2 plant, whose
+        # narrow peak at 2.37 / (2e-5) it misses. The level sets return the midpoint of
+        # [lb, (1 + NORM_RTOL) lb], so a grid sample on the peak may read up to NORM_RTOL / 2 above.
+        top = 118500.0 if name == "two-modes" else via_grid.hinf_norm
+        assert via_grid.hinf_norm * (1.0 - NORM_RTOL) <= cert.hinf_norm <= top * (1.0 + 1e-6)
 
 
 def scaling_plant(name):

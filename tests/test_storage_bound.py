@@ -189,3 +189,27 @@ def test_storage_test_needs_q_below_minus_the_rounding_allowance(excess, bounds)
     assert Q == excess * eps and 16 * eps < delta < 64 * eps
     ss = StateSpace([[-1.0]], [[1.0]], np.sqrt(CtC), [[0.0]])
     assert verify._bounds_norm(ss, np.eye(1), CtC, 1.0) is bounds
+
+
+@pytest.mark.parametrize("name", ["buffer20", "line_buffer"])
+def test_diagonal_storage_hands_cholesky_the_dense_products_matrix(name, monkeypatch):
+    # A vector X comes with the loop's B = E^{-1}, diagonal, so X B B^T X is formed from the
+    # squares of X B's diagonal. The matrix handed to Cholesky is the one the dense n x n x n
+    # product X B (X B)^T gave, entry for entry.
+    from test_golden import MODELS
+    from hinfkit import NetworkModel, compile_network
+
+    doc = MODELS[name]
+    desc = compile_network(NetworkModel(doc["network_kind"], doc["nodes"], doc["edges"], doc["params"]))
+    args, handed = [], []
+    real_bounds, real_cholesky = verify._bounds_norm, np.linalg.cholesky
+    monkeypatch.setattr(verify, "_bounds_norm", lambda *a: args.append(a) or real_bounds(*a))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda M: handed.append(M) or real_cholesky(M))
+    assert certify_optimality(desc.to_rational(), buffer_law(desc)).verdict == "optimal"
+    ((ss, Y, CtC, gamma),), (M,) = args, handed
+    n, X = Y.size, Y[:, None]
+    XA, XB = X * ss.A, X * ss.B / gamma
+    scale = 2.0 * np.linalg.norm(XA, 1) + np.linalg.norm(CtC, np.inf)
+    delta = 8.0 * n * np.finfo(float).eps * (scale + np.linalg.norm(XB, np.inf) ** 2)
+    assert Y.ndim == 1
+    assert (M == -delta * np.eye(n) - XA - XA.T - CtC - XB @ XB.T).all()

@@ -219,3 +219,38 @@ class TestRationalPlantInput:
         for w in (0.0, 0.5, 1.0, 3.0, 1e3):
             np.testing.assert_array_equal(rp.eval_M(w), 1j * w * E - A)
             np.testing.assert_array_equal(rp.eval_N(w), B)
+
+
+def _over_s(num):
+    return (num, [0.0, 1.0])
+
+
+# name: (M, N, K, realized): the minimality test passes only for simple roots whose residues,
+# over the columns that share the root, have full column rank.
+MINIMALITY = {
+    "droop": ([[([1.0, 0.5, 0.25], [0.0, 1.0])]], [[[1.0]]], [[-2.0]], True),
+    "repeated-root": ([[([1.0, 1.0, 2.0, 1.0], [1.0, 2.0, 1.0])]], [[[1.0]]], [[0.0]], False),
+    "zero-residue": ([[([1.0, 1.5, 0.75, 0.25], [0.0, 1.0, 1.0])]], [[[1.0]]], [[0.0]], False),
+    "shared-root-rank-2": ([[_over_s([1.0, 1.0, 1.0]), _over_s([0.0])], [_over_s([1.0]), _over_s([2.0, 1.0, 1.0])]],
+                           [[[1.0]], [[1.0]]], [[0.0, 0.0]], True),
+    "shared-root-rank-1": ([[_over_s([1.0, 1.0, 1.0]), _over_s([1.0])], [_over_s([1.0]), _over_s([1.0, 1.0, 1.0])]],
+                           [[[1.0]], [[1.0]]], [[0.0, 0.0]], False),
+    # Columns over s (s + 1) and s (s + 2) share the root 0.
+    "two-polynomials-one-root": ([[([3.0, 2.0, 2.0, 1.0], [0.0, 1.0, 1.0]), ([0.0], [1.0])],
+                                  [([0.0], [1.0]), ([1.0, 3.0, 3.0, 1.0], [0.0, 2.0, 1.0])]],
+                                 [[[1.0]], [[1.0]]], [[0.0, 0.0]], True),
+}
+
+
+@pytest.mark.parametrize("name", MINIMALITY)
+def test_realize_loop_checks_minimality(name):
+    from hinfkit.sysmodel import realize_loop
+
+    M, N, K, realized = MINIMALITY[name]
+    plant, gain = RationalPlant(M, N), Gain(K)
+    loop = realize_loop(plant, gain)
+    assert (loop is not None) is realized
+    if realized:
+        for w in (0.3, 1.0, 7.0):
+            T = eval_closed_rational(plant, gain, w)
+            assert np.abs(loop.transfer(w) - T).max() <= 1e-12 * np.abs(T).max()

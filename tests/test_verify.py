@@ -1,5 +1,6 @@
 import argparse
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -217,9 +218,10 @@ class TestCertificates:
 
     @pytest.mark.parametrize("route", ["state-space", "grid"])
     def test_gain_labelled_off_its_peak_is_not_optimal(self, route, lag_plant):
-        # The norm meets the bound, but the labelled omega0 does not attain it.
+        # The norm meets the bound, but the labelled omega0 does not attain it. The grid case
+        # is the droop plant over s (s + 1), whose residue at -1 is zero: realize_loop refuses it.
         if route == "grid":
-            plant, K = droop_plant(2.0, 0.5), droop_gain(2.0, 0.5).K
+            plant, K = droop_over(2.0, 0.5, [1.0, 1.0]), droop_gain(2.0, 0.5).K
         else:
             plant, K = lag_plant.to_rational(), descriptor_gain(lag_plant).K
         cert = certify_optimality(plant, Gain(K, 1.0))
@@ -228,9 +230,14 @@ class TestCertificates:
         assert cert.verdict == "stable-but-suboptimal"
         assert cert.details["omega0_margin"] < -1.0
 
-    def test_rational_route_used_without_descriptor(self, double_pole_plant):
-        cert = certify_optimality(double_pole_plant, Gain([[-0.25]]))
-        assert cert.details["method"] == "grid"
+    @pytest.mark.parametrize("method", ["state-space", "grid"])
+    def test_rational_route_used_without_descriptor(self, method, double_pole_plant):
+        # The double-pole plant is realized; realize_loop refuses the droop plant over s (s + 1).
+        plant, gain = double_pole_plant, Gain([[-0.25]])
+        if method == "grid":
+            plant, gain = droop_over(2.0, 0.5, [1.0, 1.0]), droop_gain(2.0, 0.5)
+        cert = certify_optimality(plant, gain)
+        assert cert.details["method"] == method
         assert cert.verdict == "optimal"
 
 
@@ -593,6 +600,13 @@ SLOW_POLE_N = [[[1.0], [0.0]], [[0.0], [1.0]]]
 SLOW_POLE_K = [[0.99999999, 0.0], [0.0, 0.0]]
 
 
+def droop_over(omega0, zeta, factor):
+    """droop_plant(omega0, zeta) with numerator and denominator both times ``factor``."""
+    poly = np.polynomial.polynomial
+    num = poly.polymul([1.0, 2.0 * zeta / omega0, 1.0 / omega0**2], factor)
+    return RationalPlant([[(num, poly.polymul([0.0, 1.0], factor))]], [[[1.0]]])
+
+
 def slow_pole_norm_at_zero() -> float:
     """sigma_max([I; K] (M - N K)^{-1}) at w = 0, by numpy alone."""
     K = np.array(SLOW_POLE_K)
@@ -601,10 +615,13 @@ def slow_pole_norm_at_zero() -> float:
 
 
 def test_slow_stable_pole_is_not_a_pole_on_the_axis():
+    # The realized loop's poles take rational_stability's margin 1e-9 (1 + max |pole|); the
+    # pencil test's 1e-9 ||A|| would read the root at -1e-8 as on the axis. The companion
+    # pencil reads it stable too.
     plant = RationalPlant(SLOW_POLE_M, SLOW_POLE_N)
     cert = certify_optimality(plant, Gain(SLOW_POLE_K))
-    assert cert.stable
-    assert cert.details["method"] == "grid"
+    assert cert.stable and rational_stability(plant, Gain(SLOW_POLE_K)).stable
+    assert cert.details["method"] == "state-space"
     assert cert.details["abscissa"] == pytest.approx(-1e-8, rel=1e-6)
     assert cert.verdict == "stable-but-suboptimal"
     assert cert.hinf_norm == pytest.approx(slow_pole_norm_at_zero(), rel=1e-6)
@@ -689,21 +706,37 @@ def test_level_set_sigma0_evaluates_no_plant(monkeypatch):
 # The route table: one plant per route, from rcond(E) alone
 
 ROUTE_A, ROUTE_B = [[-1.0, 0.0], [0.0, -2.0]], [[1.0], [1.0]]
-# route: (E or None for the droop plant, method, pole test, close_loop calls)
+# Rational plants that realize_loop refuses, one per reason, as (M, N, K). Each keeps the
+# grid norm and the companion pencil. The shared-root plant's residue at s = 0 has rank 1,
+# and its companion pencil, cleared by s, reads a root at 0: unstable, as before.
+REFUSED = {
+    "ill-conditioned-lead": ([[[1.0, 1.0], [0.0]], [[0.0], [1e-9, 1e-9]]], [[[1.0]], [[1.0]]], [[0.0, 0.0]]),
+    "feedthrough": ([[([2.0, 1.0], [1.0, 1.0])]], [[[1.0]]], [[0.0]]),
+    "two-denominators": ([[([3.0, 3.0, 1.0], [1.0, 1.0])]], [[([1.0], [3.0, 1.0])]], [[-1.0]]),
+    "shared-root": ([[([1.0, 1.0, 1.0], [0.0, 1.0]), ([1.0], [0.0, 1.0])],
+                     [([1.0], [0.0, 1.0]), ([1.0, 1.0, 1.0], [0.0, 1.0])]], [[[1.0]], [[1.0]]], [[0.0, 0.0]]),
+}
+# route: (E, "droop" for the golden droop plant or a REFUSED key, method, pole test,
+# close_loop calls)
 ROUTE_TABLE = {
     "level-set": ([[1.0, 0.0], [0.0, 1e-7]], "state-space", "pencil_stability", 1),
     "qz-grid": ([[1.0, 0.0], [0.0, 1e-9]], "grid", "pencil_stability", 0),
     "companion-grid": ([[1.0, 0.0], [0.0, 0.0]], "grid", "rational_stability", 0),
-    "rational": (None, "grid", "rational_stability", 0),
+    "rational": ("droop", "state-space", "rational_stability", 0),
+    **{reason: (reason, "grid", "rational_stability", 0) for reason in REFUSED},
 }
 
 
 def _route_case(route):
-    """(model as the CLI resolves it, its gain): the golden droop plant, or A, B with this E."""
+    """(model as the CLI resolves it, its gain): the golden droop plant, a REFUSED plant, or
+    A, B with this E."""
     E = ROUTE_TABLE[route][0]
-    if E is None:
+    if E == "droop":
         form = hinfkit.cli._resolve(droop_plant(2.0, 0.5))
         return form, form.gain(2.0)
+    if isinstance(E, str):
+        M, N, K = REFUSED[E]
+        return hinfkit.cli._resolve(RationalPlant(M, N)), Gain(K)
     form = hinfkit.cli._resolve(DescriptorPlant(E, ROUTE_A, ROUTE_B))
     return form, form.gain(0.0)
 
@@ -727,10 +760,15 @@ def test_route_table(route, monkeypatch, tmp_path):
         _counted(monkeypatch, hinfkit.verify, name, counts)
     cert = certify_optimality(form.plant, gain)
     monkeypatch.undo()
-    assert cert.details["method"] == method and cert.stable
+    assert cert.details["method"] == method and cert.stable == (route != "shared-root")
     assert counts.get(pole_test) == 1 and sum(k.endswith("stability") for k in counts) == 1
     assert counts.get("close_loop", 0) == closes
-    if ROUTE_TABLE[route][0] is not None:
+    if route in REFUSED:
+        # A refused plant's certificate is the grid route's, as when realize_loop is forced to refuse.
+        assert cert.details["abscissa"] == rational_stability(form.plant, gain).abscissa
+        monkeypatch.setattr(hinfkit.verify, "realize_loop", lambda plant, gain: None)
+        assert repr(asdict(cert)) == repr(asdict(certify_optimality(form.plant, gain)))
+    if isinstance(ROUTE_TABLE[route][0], list):
         # freqresp's row at w = 0 is sigma0 of the certificate, bit for bit.
         out = tmp_path / "table.csv"
         args = argparse.Namespace(gain=None, omega0=0.0, grid=np.array([0.0, 1.0]), out=str(out))
@@ -747,7 +785,7 @@ def test_one_route_and_one_sigma_evaluator_per_certificate(route, monkeypatch):
     _counted(monkeypatch, hinfkit.verify, "_grid_sigma", counts)
     _counted(monkeypatch, hinfkit.verify._GramSigma, "__init__", counts)
     cert = certify_optimality(form.plant, gain)
-    assert cert.stable
+    assert cert.stable == (route != "shared-root")
     assert counts.get("_route") == 1
     assert counts.get("_grid_sigma", 0) + counts.get("__init__", 0) == 1
 

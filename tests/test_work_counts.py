@@ -321,14 +321,14 @@ def test_symmetric_check_on_random_buffer_takes_no_svd(monkeypatch):
 
 
 def test_symmetric_check_on_rooms_takes_norms_only_for_the_commutator(monkeypatch):
-    # Unequal masses: E A != A E, so ||A|| and ||E A - A E|| are taken, and ||E||
-    # of the diagonal masses is read from E's diagonal; the two symmetry residues
-    # are exactly zero and take none.
+    # Unequal masses: E A != A E. The two symmetry residues are exactly zero and take no
+    # norm; the commutator's flag is decided from Frobenius bounds on ||A|| and
+    # ||E A - A E||, and ||E|| of the diagonal masses is read from E's diagonal: no SVD.
     plant = compile_network(ROOMS)
     svds = count_calls(monkeypatch, "svd")
     report = symmetric_commuting_check(plant)
     assert (report.symmetric_E, report.symmetric_A, report.commuting) == (True, True, False)
-    assert svds == [(2, 2)] * 2
+    assert svds == []
 
 
 def reference_flags(E, A):
@@ -619,3 +619,44 @@ def test_golden_refinement_calls_on_the_droop_plant():
     sizes.clear()
     assert adaptive_max(counted) == stacked
     assert sizes == [1] * 229
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_symmetric_check_flags_on_small_batch_families(seed):
+    # The small-batch kinds: irrigation cascades, thermal networks with unequal masses and
+    # non-symmetric circulant rings. Flags decided from Frobenius bounds are those of the
+    # check with every norm.
+    rng = np.random.default_rng(seed)
+    pools = (3, 10)[seed % 2]
+    alpha, beta, tau = rng.uniform(0.1, 10.0, 3)
+    rooms = 3 + seed
+    links = [[i, i + 1, float(rng.uniform(0.5, 2.0))] for i in range(rooms - 1)] + [[0, rooms - 1, 1.0]]
+    left, right = rng.uniform(0.2, 1.5, 2)
+    row = np.zeros(4 + seed)
+    row[0], row[1], row[-1] = -(left + right + 1.0), left, right
+    models = [
+        NetworkModel("irrigation", pools, [], {"alpha": [alpha] * pools, "beta": [beta] * pools,
+                                               "tau": [tau] * pools}),
+        NetworkModel("thermal", rooms, [], {"masses": rng.uniform(0.5, 3.0, rooms).tolist(),
+                                            "heat_capacity": 1.0, "leak": rng.uniform(0.2, 1.0, rooms).tolist(),
+                                            "conduction": links}),
+        NetworkModel("circulant", 0, [], {"row": row.tolist()}),
+    ]
+    for model in models:
+        plant = compile_network(model)
+        report = symmetric_commuting_check(plant)
+        assert (report.symmetric_E, report.symmetric_A, report.commuting) == reference_flags(plant.E, plant.A)
+
+
+@pytest.mark.parametrize("t, holds", [(0.45e-12, True), (0.55e-12, False)])
+def test_symmetric_check_takes_the_svd_inside_the_band(t, holds, monkeypatch):
+    # A - A^T = 2 t (e1 e2^T - e2 e1^T) has ||.||_2 = 2 t and ||.||_F = 2 sqrt(2) t, and
+    # ||A||_2 ~ 1 against ||A||_F ~ 2: the Frobenius bounds leave the flag open on both sides
+    # of the cap 1e-12 ||A||, so ||A|| and ||A - A^T|| are taken, and decide it.
+    A = -np.eye(4)
+    A[0, 1], A[1, 0] = t, -t
+    plant = DescriptorPlant(np.eye(4), A, np.ones((4, 1)))
+    svds = count_calls(monkeypatch, "svd")
+    report = symmetric_commuting_check(plant)
+    assert svds == [(4, 4)] * 2
+    assert report.symmetric_A is holds and (True, holds, True) == reference_flags(plant.E, A)
