@@ -60,6 +60,9 @@ MODELS = {
     "machines": _network("machine", 3, {"mass": 1.0, "damping": 2.0,
                                         "edges": [[0, 1, 1.0], [1, 2, 1.0]]}),
     "ring": _network("circulant", 0, {"row": [-3.0, 1.0, 0.0, 1.0]}),
+    # A singular E takes the companion pencil and the grid; a stiff one, QZ and the grid.
+    "singular_e": _descriptor([[-1.0, 0.5], [0.0, -2.0]], [[1.0], [1.0]], [[1.0, 0.0], [0.0, 0.0]]),
+    "stiff_e": _descriptor([[-1.0, 0.5], [0.0, -2.0]], [[1.0], [1.0]], [[1.0, 0.0], [0.0, 1e-9]]),
 }
 
 # A 20-node buffer with 10 chords: the reports pin a 58 x 20 gain.
