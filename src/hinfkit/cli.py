@@ -16,8 +16,8 @@ Model files are JSON documents with a ``kind`` discriminator:
 
 Each operation does each step once: the parser is built once per process,
 ``main`` reads the model file once (its sha256 is the report's digest) and
-resolves it into its report kind, certification plant (linked to its
-descriptor form, if any) and canonical gain, and the report is written in one
+resolves it into its report kind, certification plant (a descriptor or network
+plant as it is) and canonical gain, and the report is written in one
 walk to a list of pieces, joined once. Reports are format 2: a gain K is written as
 {"shape", "rows", "cols", "values"}, its entries other than +0.0 by row. --gain reads that
 block or dense rows, and refuses either unless it is m x k, before any block runs. verify
@@ -207,18 +207,19 @@ class _Form:
     """A loaded model as the commands see it; built once by ``_resolve``."""
 
     kind: str  # the report header's model kind
-    plant: RationalPlant | None  # linked to its descriptor form if any; None for machine networks
+    plant: RationalPlant | None  # the parsed or compiled plant itself; None for machine networks
     gain: Callable[[float], Gain]  # canonical gain at the target frequency omega0
     disturbance_map: list | None = None  # irrigation: load disturbances into the states
     header: dict | None = None  # the report's model section: path, digest, kind; set by main
 
 
 def _resolve(model, unit_h=False) -> _Form:
-    """The kind table: every per-kind decision the commands need, in one place."""
+    """The kind table: every per-kind decision the commands need, in one place. A
+    DescriptorPlant, a RationalPlant too, is tested first; every plant is handed on as it is."""
+    if isinstance(model, DescriptorPlant):
+        return _Form("descriptor", model, lambda _: synth.descriptor_gain(model))
     if isinstance(model, RationalPlant):
         return _Form("rational", model, lambda w0: synth.closed_form_gain(model, w0))
-    if isinstance(model, DescriptorPlant):
-        return _Form("descriptor", model.to_rational(), lambda _: synth.descriptor_gain(model))
     kind = f"network/{model.kind}"
     try:
         if model.kind == "machine":
@@ -226,14 +227,14 @@ def _resolve(model, unit_h=False) -> _Form:
             return _Form(kind, None, lambda _: synth.machine_modal_gains(m, d, L))
         if model.kind == "irrigation":
             desc, H = netgen.compile_irrigation(model, unit_h=unit_h)
-            return _Form(kind, desc.to_rational(), lambda _: synth.descriptor_gain(desc), H.tolist())
+            return _Form(kind, desc, lambda _: synth.descriptor_gain(desc), H.tolist())
         desc = netgen.compile_network(model)
     except HinfkitError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:  # numpy refused a value: a ragged array
         raise SchemaError(f"malformed network model: {exc}") from None
     law = synth.buffer_law if model.kind == "buffer" else synth.descriptor_gain
-    return _Form(kind, desc.to_rational(), lambda _: law(desc))
+    return _Form(kind, desc, lambda _: law(desc))
 
 
 def _load_gain(path, omega0, plant) -> Gain:

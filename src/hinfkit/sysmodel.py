@@ -1,15 +1,15 @@
 """Plant and closed-loop representations.
 
-Two plant classes are supported. A DescriptorPlant is the matrix triple
-(E, A, B) describing E*xdot = A*x + B*u + w with y = x. A RationalPlant is
-the general frequency-domain form M(s)*y = N(s)*u + w with entries of M and
-N given as ratios of real polynomials, stored as four coefficient tensors
-(numerator and denominator of M and of N). Descriptor plants convert
-exactly to rational ones by filling those tensors with -A, E and B; the
-rational object keeps a link back to its descriptor so that verification
-can use a lower bound that is a precomputed quadratic in frequency and, if
-E passes the rank test (``state_space``), the pencil test and the
-state-space norm. A DescriptorPlant is the one record of what its readers
+A RationalPlant is the frequency-domain form M(s)*y = N(s)*u + w with
+entries of M and N given as ratios of real polynomials, stored as four
+coefficient tensors (numerator and denominator of M and of N). A
+DescriptorPlant is the RationalPlant with M(s) = E*s - A and N(s) = B, held
+as the triple (E, A, B) of E*xdot = A*x + B*u + w with y = x; its tensors
+are formed only when a path that samples M and N reads them. Its
+``descriptor`` is itself (None on other plants), so that verification can
+use a lower bound that is a precomputed quadratic in frequency and, if E
+passes the rank test (``state_space``), the pencil test and the state-space
+norm. A DescriptorPlant is the one record of what its readers
 share: rcond(E), the exact-structure verdicts, G = A A^T + B B^T, Kd and
 Kd's loop (``kd_loop``, closed by ``verify._route``). Exactly diagonal E, A
 under B^T A^{-1} take the loop's poles from one eigvalsh of G. A closed-loop
@@ -41,9 +41,121 @@ from .linalg import RANK_RTOL, REDUCTION_COND_MAX
 REALNESS_RTOL = 1e-9
 
 
+def _entry(entry):
+    """(num, den) coefficient arrays of a (num, den) pair or a bare numerator."""
+    num, den = entry if isinstance(entry, tuple) and len(entry) == 2 else (entry, [1.0])
+    num, den = (linalg.trimmed_coefficients(p) for p in (num, den))
+    if not den.any():
+        raise InvalidInputError("rational entry has a zero denominator polynomial")
+    return num, den
+
+
+def _tensor(entries, side, rows, cols):
+    """Coefficient tensor of shape (degree + 1, rows, cols) for one side of the pairs."""
+    t = np.zeros((max((len(e[side]) for row in entries for e in row), default=1), rows, cols))
+    for i, row in enumerate(entries):
+        for j, e in enumerate(row):
+            t[: len(e[side]), i, j] = e[side]
+    return t
+
+
+class RationalPlant:
+    """Plant M(s)*y = N(s)*u + w with rational matrix functions M (k x k) and N (k x m).
+
+    ``M`` and ``N`` are nested sequences whose entries are (num, den) pairs
+    of Polynomials or ascending coefficient sequences; a bare numerator
+    means den = 1. They are parsed once into the coefficient tensors
+    ``m_num``, ``m_den`` (shape (degree + 1, k, k)) and ``n_num``, ``n_den``
+    (shape (degree + 1, k, m)), ascending in degree; the plant keeps only
+    those.
+    """
+
+    descriptor = None  # a DescriptorPlant is its own
+
+    def __init__(self, M, N):
+        M = [[_entry(e) for e in row] for row in M]
+        N = [[_entry(e) for e in row] for row in N]
+        k = len(M)
+        if k == 0 or any(len(row) != k for row in M):
+            raise DimensionError("M must be square and nonempty")
+        if len(N) != k:
+            raise DimensionError(f"N must have {k} rows, got {len(N)}")
+        m = len(N[0])
+        if any(len(row) != m for row in N):
+            raise DimensionError("rows of N must have equal length")
+        self.m_num, self.m_den = (_tensor(M, side, k, k) for side in (0, 1))
+        self.n_num, self.n_den = (_tensor(N, side, k, m) for side in (0, 1))
+
+    @classmethod
+    def _from_tensors(cls, m_num, m_den, n_num, n_den) -> "RationalPlant":
+        plant = cls.__new__(cls)
+        plant.m_num, plant.m_den, plant.n_num, plant.n_den = m_num, m_den, n_num, n_den
+        return plant
+
+    @property
+    def k(self) -> int:
+        return self.m_num.shape[1]
+
+    @property
+    def m(self) -> int:
+        return self.n_num.shape[2]
+
+    def _eval(self, num_t, den_t, omega):
+        """num/den at s = j*omega: a matrix, or a (W, rows, cols) stack for W frequencies.
+
+        A scalar omega at an entry pole raises PoleAtEvaluationError; in a
+        stack, that sample's matrix is NaN.
+        """
+        s = 1j * np.asarray(omega, dtype=float)[..., None, None]
+        num = np.polynomial.polynomial.polyval(s, num_t, tensor=False)
+        den = np.polynomial.polynomial.polyval(s, den_t, tensor=False)
+        pole = (den == 0).any(axis=(-2, -1))
+        if pole.any():
+            if not pole.ndim:
+                raise PoleAtEvaluationError(f"plant entry has a pole at s={1j * float(omega)}")
+            out = num / np.where(pole[:, None, None], 1.0, den)
+            out[pole] = np.nan
+            return out
+        return num / den
+
+    def eval_M(self, omega) -> np.ndarray:
+        """M(j*omega) as a complex k x k matrix, or a (W, k, k) stack for W frequencies."""
+        return self._eval(self.m_num, self.m_den, omega)
+
+    def eval_N(self, omega) -> np.ndarray:
+        """N(j*omega) as a complex k x m matrix, or a (W, k, m) stack for W frequencies."""
+        return self._eval(self.n_num, self.n_den, omega)
+
+    def check_standing_assumptions(self, grid=None) -> None:
+        """Verify well-posedness on a frequency grid.
+
+        M(j*omega) must have full column rank and M*M^* + N*N^* must be
+        invertible at every grid point (isolated entry poles are skipped).
+        The grid is evaluated in stacks; StandingAssumptionError names the
+        first violating frequency in grid order, and a rank loss there
+        comes before a singular Gram.
+        """
+        grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+        for w in freqgrid.chunks(grid, 16 * self.k * (2 * self.k + self.m)):
+            Mw, Nw = self.eval_M(w), self.eval_N(w)
+            kept = ~(np.isnan(Mw[:, 0, 0]) | np.isnan(Nw[:, 0, 0]))
+            w, Mw, Nw = w[kept], Mw[kept], Nw[kept]
+            rank_lost = linalg.rcond(Mw) <= linalg.RANK_RTOL
+            S = Mw @ Mw.conj().swapaxes(-1, -2) + Nw @ Nw.conj().swapaxes(-1, -2)
+            lam = np.linalg.eigvalsh(S)
+            singular = lam[:, 0] <= linalg.RANK_RTOL * np.maximum(lam[:, -1], 1e-300)
+            bad = np.flatnonzero(rank_lost | singular)
+            if bad.size:
+                i = bad[0]
+                what = "M*M^* + N*N^* is singular"
+                if rank_lost[i]:
+                    what = "M(j*omega) loses column rank"
+                raise StandingAssumptionError(f"{what} at omega={w[i]:g}")
+
+
 @dataclass
-class DescriptorPlant:
-    """First-order plant E*xdot = A*x + B*u + w, so M(s) = E*s - A, N(s) = B."""
+class DescriptorPlant(RationalPlant):
+    """First-order plant E*xdot = A*x + B*u + w: the RationalPlant M(s) = E*s - A, N(s) = B, k = n."""
 
     E: np.ndarray
     A: np.ndarray
@@ -126,128 +238,17 @@ class DescriptorPlant:
     def m(self) -> int:
         return self.B.shape[1]
 
-    def to_rational(self) -> "RationalPlant":
-        """Coefficient tensors of (E*s - A, B) over unit denominators, keeping a backlink."""
-        n, m = self.n, self.m
-        return RationalPlant._from_tensors(
-            np.stack([-self.A, self.E]),
-            np.ones((1, n, n)),
-            self.B[None].copy(),
-            np.ones((1, n, m)),
-            descriptor=self,
-        )
+    k = n
+    descriptor = property(lambda self: self)
+    # The coefficient tensors, formed on first read: only paths that sample M and N read them.
+    m_num = cached_property(lambda self: np.stack([-self.A, self.E]))
+    m_den = cached_property(lambda self: np.ones((1, self.n, self.n)))
+    n_num = cached_property(lambda self: self.B[None].copy())
+    n_den = cached_property(lambda self: np.ones((1, self.n, self.m)))
 
-
-def _entry(entry):
-    """(num, den) coefficient arrays of a (num, den) pair or a bare numerator."""
-    num, den = entry if isinstance(entry, tuple) and len(entry) == 2 else (entry, [1.0])
-    num, den = (linalg.trimmed_coefficients(p) for p in (num, den))
-    if not den.any():
-        raise InvalidInputError("rational entry has a zero denominator polynomial")
-    return num, den
-
-
-def _tensor(entries, side, rows, cols):
-    """Coefficient tensor of shape (degree + 1, rows, cols) for one side of the pairs."""
-    t = np.zeros((max((len(e[side]) for row in entries for e in row), default=1), rows, cols))
-    for i, row in enumerate(entries):
-        for j, e in enumerate(row):
-            t[: len(e[side]), i, j] = e[side]
-    return t
-
-
-class RationalPlant:
-    """Plant M(s)*y = N(s)*u + w with rational matrix functions M (k x k) and N (k x m).
-
-    ``M`` and ``N`` are nested sequences whose entries are (num, den) pairs
-    of Polynomials or ascending coefficient sequences; a bare numerator
-    means den = 1. They are parsed once into the coefficient tensors
-    ``m_num``, ``m_den`` (shape (degree + 1, k, k)) and ``n_num``, ``n_den``
-    (shape (degree + 1, k, m)), ascending in degree; the plant keeps only
-    those.
-    """
-
-    def __init__(self, M, N):
-        M = [[_entry(e) for e in row] for row in M]
-        N = [[_entry(e) for e in row] for row in N]
-        k = len(M)
-        if k == 0 or any(len(row) != k for row in M):
-            raise DimensionError("M must be square and nonempty")
-        if len(N) != k:
-            raise DimensionError(f"N must have {k} rows, got {len(N)}")
-        m = len(N[0])
-        if any(len(row) != m for row in N):
-            raise DimensionError("rows of N must have equal length")
-        self.m_num, self.m_den = (_tensor(M, side, k, k) for side in (0, 1))
-        self.n_num, self.n_den = (_tensor(N, side, k, m) for side in (0, 1))
-        self.descriptor = None
-
-    @classmethod
-    def _from_tensors(cls, m_num, m_den, n_num, n_den, descriptor=None) -> "RationalPlant":
-        plant = cls.__new__(cls)
-        plant.m_num, plant.m_den, plant.n_num, plant.n_den = m_num, m_den, n_num, n_den
-        plant.descriptor = descriptor
-        return plant
-
-    @property
-    def k(self) -> int:
-        return self.m_num.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.n_num.shape[2]
-
-    def _eval(self, num_t, den_t, omega):
-        """num/den at s = j*omega: a matrix, or a (W, rows, cols) stack for W frequencies.
-
-        A scalar omega at an entry pole raises PoleAtEvaluationError; in a
-        stack, that sample's matrix is NaN.
-        """
-        s = 1j * np.asarray(omega, dtype=float)[..., None, None]
-        num = np.polynomial.polynomial.polyval(s, num_t, tensor=False)
-        den = np.polynomial.polynomial.polyval(s, den_t, tensor=False)
-        pole = (den == 0).any(axis=(-2, -1))
-        if pole.any():
-            if not pole.ndim:
-                raise PoleAtEvaluationError(f"plant entry has a pole at s={1j * float(omega)}")
-            out = num / np.where(pole[:, None, None], 1.0, den)
-            out[pole] = np.nan
-            return out
-        return num / den
-
-    def eval_M(self, omega) -> np.ndarray:
-        """M(j*omega) as a complex k x k matrix, or a (W, k, k) stack for W frequencies."""
-        return self._eval(self.m_num, self.m_den, omega)
-
-    def eval_N(self, omega) -> np.ndarray:
-        """N(j*omega) as a complex k x m matrix, or a (W, k, m) stack for W frequencies."""
-        return self._eval(self.n_num, self.n_den, omega)
-
-    def check_standing_assumptions(self, grid=None) -> None:
-        """Verify well-posedness on a frequency grid.
-
-        M(j*omega) must have full column rank and M*M^* + N*N^* must be
-        invertible at every grid point (isolated entry poles are skipped).
-        The grid is evaluated in stacks; StandingAssumptionError names the
-        first violating frequency in grid order, and a rank loss there
-        comes before a singular Gram.
-        """
-        grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-        for w in freqgrid.chunks(grid, 16 * self.k * (2 * self.k + self.m)):
-            Mw, Nw = self.eval_M(w), self.eval_N(w)
-            kept = ~(np.isnan(Mw[:, 0, 0]) | np.isnan(Nw[:, 0, 0]))
-            w, Mw, Nw = w[kept], Mw[kept], Nw[kept]
-            rank_lost = linalg.rcond(Mw) <= linalg.RANK_RTOL
-            S = Mw @ Mw.conj().swapaxes(-1, -2) + Nw @ Nw.conj().swapaxes(-1, -2)
-            lam = np.linalg.eigvalsh(S)
-            singular = lam[:, 0] <= linalg.RANK_RTOL * np.maximum(lam[:, -1], 1e-300)
-            bad = np.flatnonzero(rank_lost | singular)
-            if bad.size:
-                i = bad[0]
-                what = "M*M^* + N*N^* is singular"
-                if rank_lost[i]:
-                    what = "M(j*omega) loses column rank"
-                raise StandingAssumptionError(f"{what} at omega={w[i]:g}")
+    def to_rational(self) -> "DescriptorPlant":
+        """The plant itself, its own rational form."""
+        return self
 
 
 @dataclass

@@ -390,7 +390,7 @@ def _sup_bound(plant: RationalPlant, Qp: np.ndarray | None, grid) -> BoundResult
 def lower_bound(plant: RationalPlant, grid=None) -> BoundResult:
     """sup over frequency of ||(M M^* + N N^*)^{-1}||^{1/2} and its argmax.
 
-    No gain can push the closed-loop norm below this value. Descriptor-backed
+    No gain can push the closed-loop norm below this value. Descriptor
     plants sample G + w^2 E E^T + jw F with G = A A^T + B B^T, F = A E^T - E A^T,
     in real arithmetic when F = 0; other plants evaluate M(jw) and N(jw).
     When F = 0 bitwise, S(w) = G + w^2 E E^T only grows with w, so the
@@ -476,9 +476,7 @@ def _clear_of_axis(poles: np.ndarray) -> StabilityResult:
     return StabilityResult(abscissa < -margin, abscissa)
 
 
-def _route(
-    plant: RationalPlant | DescriptorPlant, gain: Gain
-) -> tuple[DescriptorPlant | None, StateSpace | None, Callable]:
+def _route(plant: RationalPlant, gain: Gain) -> tuple[DescriptorPlant | None, StateSpace | None, Callable]:
     """(desc, loop, sigma): the certificate's route, read from rcond(E) alone.
 
     ``desc`` is the descriptor for the pencil pole test if E passes the rank test, else None
@@ -487,9 +485,9 @@ def _route(
     ``realize_loop``'s loop. Else, or if that refuses, ``loop`` is None and ``sigma`` is
     _grid_sigma. ``sigma``, w -> sigma_max(T(jw)), is the loop's one evaluator; both
     kinds raise PoleOnAxisError at a pole on the axis. Kd's own array (not an equal one) closes
-    its loop once per plant (``desc.kd_loop``). ``plant`` may be a descriptor with cond(E) < 1e8.
+    its loop once per plant (``desc.kd_loop``). ``plant.descriptor`` is a DescriptorPlant itself.
     """
-    desc = plant if isinstance(plant, DescriptorPlant) else plant.descriptor
+    desc = plant.descriptor
     if desc is None:
         loop = realize_loop(plant, gain)
         return None, loop, _grid_sigma(plant, gain) if loop is None else _GramSigma(loop)

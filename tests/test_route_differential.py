@@ -9,7 +9,8 @@ All must reach the same verdict and the same norm. Rational plants with no
 descriptor form are realized and checked against their own tensors, the
 companion pencil and the grid. A metamorphic oracle checks the level-set
 route on its own: E -> alpha E keeps the norm and the bound and divides the
-peak frequency by alpha.
+peak frequency by alpha, and B -> B[:, P] permutes the descriptor gain's rows
+and keeps the certificate.
 """
 
 import math
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import hinfkit.verify
 from hinfkit import (DescriptorPlant, Gain, NetworkModel, RationalPlant, certify_optimality,
-                     compile_network, descriptor_gain, droop_gain, droop_plant, eval_closed_rational,
+                     compile_irrigation, compile_network, descriptor_gain, droop_gain, droop_plant, eval_closed_rational,
                      modal_plant, rational_stability, synth)
 from hinfkit.freqgrid import default_grid
 from hinfkit.sysmodel import realize_loop
@@ -198,3 +199,34 @@ def test_orthogonal_change_of_state_keeps_the_certificate(name, theta, seed):
     assert turned.verdict == cert.verdict
     assert turned.hinf_norm == pytest.approx(cert.hinf_norm, rel=1e-12, abs=0.0)
     assert turned.lower_bound == pytest.approx(cert.lower_bound, rel=1e-12, abs=0.0)
+
+
+def permutation_plant(name):
+    """A plant of the input-permutation oracle: a network of ``scaling_plant``, a 10-pool
+    cascade with drawn pools, or a random dense descriptor with n = 5, m = 3 and E != I."""
+    if name == "irrigation10":
+        rng = np.random.default_rng(10)
+        params = {key: rng.uniform(lo, hi, 10).tolist()
+                  for key, lo, hi in (("alpha", 1.0, 10.0), ("beta", 0.2, 2.0), ("tau", 0.5, 8.0))}
+        return compile_irrigation(NetworkModel("irrigation", 10, [], params))[0]
+    if name.startswith("dense"):
+        rng = np.random.default_rng(int(name[5:]))
+        E = np.diag(rng.uniform(0.5, 2.0, 5)) + 0.1 * rng.standard_normal((5, 5))
+        return DescriptorPlant(E, rng.standard_normal((5, 5)) - 3.0 * np.eye(5), rng.standard_normal((5, 3)))
+    return scaling_plant(name)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5])
+@pytest.mark.parametrize("name", ["irrigation3", "irrigation10", "rooms4", "ring4", "dense1", "dense2", "dense3"])
+def test_input_permutation_permutes_the_gain_and_keeps_the_certificate(name, seed):
+    # (E, A, B[:, P]) has the gain rows K[P], the loop A + B K summed in another order and
+    # the Gram B B^T likewise, so its certificate agrees with the plant's up to rounding.
+    desc = permutation_plant(name)
+    P = np.random.default_rng(seed).permutation(desc.m)
+    moved = DescriptorPlant(desc.E, desc.A, desc.B[:, P])
+    assert (descriptor_gain(moved).K == descriptor_gain(desc).K[P]).all()
+    cert, permuted = (certify_optimality(p, descriptor_gain(p)) for p in (desc, moved))
+    assert cert.details["method"] == permuted.details["method"] == "state-space"
+    assert permuted.verdict == cert.verdict != "unstable"
+    assert permuted.hinf_norm == pytest.approx(cert.hinf_norm, rel=1e-12, abs=0.0)
+    assert permuted.lower_bound == pytest.approx(cert.lower_bound, rel=1e-12, abs=0.0)

@@ -40,6 +40,40 @@ class TestDescriptorPlant:
         assert rp.eval_N(3.0)[0, 0] == pytest.approx(1.0)
         assert rp.descriptor is lag_plant
 
+    def test_descriptor_is_its_own_rational_form(self, three_state_demo):
+        desc = three_state_demo
+        assert desc.to_rational() is desc and desc.descriptor is desc
+        assert isinstance(desc, RationalPlant) and (desc.k, desc.m) == (3, 3)
+        assert RationalPlant([[[1.0, 1.0]]], [[[1.0]]]).descriptor is None
+
+    def test_tensors_form_on_first_read_as_the_explicit_construction(self):
+        # Each tensor equals, bit for bit and in shape, the four arrays a descriptor's
+        # rational form was built from: [-A, E], unit denominators, B over them.
+        desc = DescriptorPlant([[2.0, 1.0], [0.0, 1.0]], [[-1.0, 0.5], [0.0, -2.0]],
+                               [[1.0, 0.0, 2.0], [1.0, -1.0, 0.0]])
+        names = ("m_num", "m_den", "n_num", "n_den")
+        assert not set(names) & vars(desc).keys()
+        want = (np.stack([-desc.A, desc.E]), np.ones((1, 2, 2)), desc.B[None].copy(), np.ones((1, 2, 3)))
+        for name, expected in zip(names, want):
+            got = getattr(desc, name)
+            assert (got.shape, got.dtype, got.tobytes()) == (expected.shape, expected.dtype, expected.tobytes())
+            assert getattr(desc, name) is got
+        assert not np.shares_memory(desc.n_num, desc.B)
+
+    def test_no_module_calls_to_rational(self):
+        # Every path takes a descriptor plant as it is; to_rational stays for callers outside.
+        import ast
+        from pathlib import Path
+
+        import hinfkit
+
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(Path(hinfkit.__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "to_rational"]
+        assert found == []
+
 
 class TestCloseLoop:
     def test_lag_closed_loop(self, lag_plant):

@@ -5,12 +5,14 @@ factorization fails here instead of showing up only as a slower benchmark.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hinfkit.cli
 import hinfkit.linalg
 import hinfkit.netgen
 import hinfkit.sysmodel
@@ -137,19 +139,19 @@ def watch(monkeypatch, array, name):
 
 def watch_buffer_b(monkeypatch):
     """The descriptor plants resolved from now on, each B watched; and every buffer gain's K."""
-    plants, real, law = [], DescriptorPlant.to_rational, hinfkit.synth.buffer_law
+    plants, real, law = [], DescriptorPlant.__post_init__, hinfkit.synth.buffer_law
 
-    def to_rational(self):
+    def post_init(self):
+        real(self)
         self.B = watch(monkeypatch, self.B, "B")
         plants.append(self)
-        return real(self)
 
     def buffer_law(net):
         gain = law(net)
         gain.K = watch(monkeypatch, gain.K, "K")
         return gain
 
-    monkeypatch.setattr(DescriptorPlant, "to_rational", to_rational)
+    monkeypatch.setattr(DescriptorPlant, "__post_init__", post_init)
     monkeypatch.setattr(hinfkit.synth, "buffer_law", buffer_law)
     return plants
 
@@ -397,15 +399,15 @@ def test_one_verify_decides_the_exact_structure_once(doc, formed, tmp_path, monk
     model = tmp_path / "case.model"
     model.write_text(json.dumps(doc))
     plants = []
-    real = DescriptorPlant.to_rational
+    real = DescriptorPlant.__post_init__
 
-    def to_rational(self):
+    def post_init(self):
+        real(self)
         self.E = self.E.view(_WatchedE)
         self.E.formed = 0
         plants.append(self)
-        return real(self)
 
-    monkeypatch.setattr(DescriptorPlant, "to_rational", to_rational)
+    monkeypatch.setattr(DescriptorPlant, "__post_init__", post_init)
     assert main(["verify", str(model), "--out", str(tmp_path / "report.json")]) == EXIT_OK
     assert [int(plant.E.formed) for plant in plants] == [formed]
 
@@ -467,8 +469,8 @@ def test_cascade_verify_solves_the_descriptor_gain_once(tmp_path, monkeypatch):
     # test all read the plant's one Kd = B^T A^{-T}: one solve(A, B) per verify.
     model = tmp_path / "irrigation3.model"
     model.write_text(json.dumps(NONSYMMETRIC_DOCS["irrigation3"]))
-    plants, real = [], DescriptorPlant.to_rational
-    monkeypatch.setattr(DescriptorPlant, "to_rational", lambda self: plants.append(self) or real(self))
+    plants, real = [], DescriptorPlant.__post_init__
+    monkeypatch.setattr(DescriptorPlant, "__post_init__", lambda self: real(self) or plants.append(self))
     firsts = count_calls(monkeypatch, "solve", key=lambda a: a)
     assert main(["verify", str(model), "--out", str(tmp_path / "report.json")]) == EXIT_OK
     report = json.loads((tmp_path / "report.json").read_text())
@@ -660,3 +662,52 @@ def test_symmetric_check_takes_the_svd_inside_the_band(t, holds, monkeypatch):
     report = symmetric_commuting_check(plant)
     assert svds == [(4, 4)] * 2
     assert report.symmetric_A is holds and (True, holds, True) == reference_flags(plant.E, A)
+
+
+# ---------------------------------------------------------------------------
+# a descriptor plant's coefficient tensors are formed only by a path that reads them
+
+
+TENSORS = {"m_num", "m_den", "n_num", "n_den"}
+TENSOR_FREE_DOCS = {"buffer50": buffer_doc(50), "irrigation3": NONSYMMETRIC_DOCS["irrigation3"],
+                    "rooms": MODELS["rooms"], "ring": MODELS["ring"]}
+
+
+def resolved_plants(monkeypatch):
+    """The certification plant of every model the CLI resolves from now on."""
+    plants, real = [], hinfkit.cli._resolve
+
+    def resolve(*args, **kwargs):
+        form = real(*args, **kwargs)
+        plants.append(form.plant)
+        return form
+
+    monkeypatch.setattr(hinfkit.cli, "_resolve", resolve)
+    return plants
+
+
+@pytest.mark.parametrize("command", ["verify", "synth", "lower-bound", "compare", "freqresp"])
+@pytest.mark.parametrize("name", sorted(TENSOR_FREE_DOCS))
+def test_descriptor_ops_form_no_coefficient_tensor(name, command, tmp_path, monkeypatch):
+    # The CLI hands on the plant it parsed or compiled, and on these models no path
+    # samples M(jw) or N(jw): the pencil, the level sets and the descriptor bound read E, A, B.
+    model = tmp_path / f"{name}.model"
+    model.write_text(json.dumps(TENSOR_FREE_DOCS[name]))
+    plants = resolved_plants(monkeypatch)
+    assert main([command, str(model), "--out", str(tmp_path / "report")]) == EXIT_OK
+    assert [type(plant) for plant in plants] == [DescriptorPlant]
+    assert TENSORS & vars(plants[0]).keys() == set()
+
+
+@pytest.mark.parametrize("name, argv", [("singular_e", ["verify"]),
+                                        ("three_state", ["synth", "--weighted", "weight.json"])])
+def test_sampling_paths_form_the_coefficient_tensors(name, argv, tmp_path, monkeypatch):
+    # A singular E takes the companion pencil and the grid, and the weighted gain samples
+    # M(0) and N(0): each forms the tensors on the plant itself.
+    monkeypatch.chdir(tmp_path)
+    Path("weight.json").write_text(json.dumps({"Q": np.eye(3).tolist()}))
+    Path("case.model").write_text(json.dumps(MODELS[name]))
+    plants = resolved_plants(monkeypatch)
+    assert main([argv[0], "case.model", *argv[1:], "--out", "report.json"]) == EXIT_OK
+    assert len(plants) == 1 and plants[0].descriptor is plants[0]
+    assert TENSORS <= vars(plants[0]).keys()
