@@ -15,15 +15,15 @@ Model files are JSON documents with a ``kind`` discriminator:
       node indices are 0-based.
 
 Each operation does each step once: the parser is built once per process,
-``main`` reads the model file once (its sha256 is the report's digest) and
-resolves it into its report kind, certification plant (a descriptor or network
-plant as it is) and canonical gain, and the report is written in one
-walk to a list of pieces, joined once. Reports are format 2: a gain K is written as
-{"shape", "rows", "cols", "values"}, its entries other than +0.0 by row. --gain reads that
-block or dense rows, and refuses either unless it is m x k, before any block runs. verify
-builds every certificate block; freqresp's table takes _route's sigma_max evaluator
-(verify.sigma_table). The CLI parses, refuses, dispatches and writes; compare refuses a
-singular E. Only synth takes --weighted. --tol (>= 0) and --omega0 must be finite, the
+``main`` reads the model file once (its sha256 is the report's digest), resolves it in the
+one kind table (``_resolve``: report kind, plant as parsed or compiled, canonical gain, refusals)
+and refuses what the kind cannot do (the command, then --gain, --weighted, --unit-h, --omega0)
+before any other file is read. The report is written in one walk to a list of pieces, joined
+once. Reports are format 2: a gain K is written as {"shape", "rows", "cols", "values"}, its
+entries other than +0.0 by row. --gain reads that block or dense rows, and refuses either unless
+it is m x k, before any block runs. The gain is the closed form at --omega0; at 0 a descriptor or
+network plant's exact law. No command tests a kind; compare refuses a singular E, a property of
+the plant. Only synth takes --weighted and --unit-h. --tol (>= 0) and --omega0 must be finite, the
 grid bounds finite with 0 < --grid-min < --grid-max, and --points at least 2.
 Malformed generate lists (numbers, i-j edges, i-j:w weights) exit 2, as does a
 model, gain or weight file that is unreadable, not JSON, or has a field of the
@@ -204,37 +204,52 @@ def _parse(path):
 
 @dataclass
 class _Form:
-    """A loaded model as the commands see it; built once by ``_resolve``."""
+    """A loaded model as the commands see it, built once by ``_resolve``; no command tests a kind."""
 
     kind: str  # the report header's model kind
     plant: RationalPlant | None  # the parsed or compiled plant itself; None for machine networks
     gain: Callable[[float], Gain]  # canonical gain at the target frequency omega0
+    refuses: dict  # a command, or an option given, -> why this kind refuses it; main applies it
     disturbance_map: list | None = None  # irrigation: load disturbances into the states
     header: dict | None = None  # the report's model section: path, digest, kind; set by main
 
 
 def _resolve(model, unit_h=False) -> _Form:
-    """The kind table: every per-kind decision the commands need, in one place. A
-    DescriptorPlant, a RationalPlant too, is tested first; every plant is handed on as it is."""
+    """The kind table: every per-kind decision the commands need, in one place: the plant, the
+    gain at omega0 and what the kind refuses. A DescriptorPlant, a RationalPlant too, is tested
+    first; every plant is handed on as it is. A plant takes the closed form at omega0; at
+    omega0 = 0 (-0.0 too) a descriptor or network plant takes that sample as its exact law."""
+    refuses = {"--unit-h": "--unit-h applies to irrigation networks only"}
+    at = lambda plant, law: lambda w0: synth.closed_form_gain(plant, w0) if w0 else law(plant)
     if isinstance(model, DescriptorPlant):
-        return _Form("descriptor", model, lambda _: synth.descriptor_gain(model))
+        return _Form("descriptor", model, at(model, synth.descriptor_gain), refuses)
     if isinstance(model, RationalPlant):
-        return _Form("rational", model, lambda w0: synth.closed_form_gain(model, w0))
+        refuses["compare"] = "compare requires a descriptor or network model"
+        return _Form("rational", model, lambda w0: synth.closed_form_gain(model, w0), refuses)
     kind = f"network/{model.kind}"
     try:
-        if model.kind == "machine":
+        if model.kind == "machine":  # no plant: the law is per mode
             m, d, L = netgen.compile_machine(model)
-            return _Form(kind, None, lambda _: synth.machine_modal_gains(m, d, L))
+            refuses |= {
+                "lower-bound": "lower-bound requires a model with a single plant form",
+                "compare": "compare requires a model with a single descriptor form; "
+                "machine networks are verified per mode",
+                "freqresp": "freqresp requires a model with a single plant form",
+                "--gain": "machine networks certify their own modal law only",
+                "--weighted": "weighted synthesis is not defined for machine networks",
+                "--omega0": "machine networks take their law per mode, not at --omega0",
+            }
+            return _Form(kind, None, lambda _: synth.machine_modal_gains(m, d, L), refuses)
         if model.kind == "irrigation":
             desc, H = netgen.compile_irrigation(model, unit_h=unit_h)
-            return _Form(kind, desc, lambda _: synth.descriptor_gain(desc), H.tolist())
+            return _Form(kind, desc, at(desc, synth.descriptor_gain), {}, H.tolist())
         desc = netgen.compile_network(model)
     except HinfkitError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:  # numpy refused a value: a ragged array
         raise SchemaError(f"malformed network model: {exc}") from None
     law = synth.buffer_law if model.kind == "buffer" else synth.descriptor_gain
-    return _Form(kind, desc, lambda _: law(desc))
+    return _Form(kind, desc, at(desc, law), refuses)
 
 
 def _load_gain(path, omega0, plant) -> Gain:
@@ -340,8 +355,6 @@ def _report(form, **fields) -> dict:
 def _cmd_synth(args, form):
     gain = form.gain(args.omega0)
     if args.weighted:
-        if form.plant is None:
-            raise InvalidInputError("weighted synthesis is not defined for machine networks")
         Q = _matrix(_read_json(args.weighted, "weight")[0], "Q")
         gain = synth.weighted_gain(form.plant, Q, args.omega0)
     report = _report(form, gain=_gain_report(gain))
@@ -352,8 +365,6 @@ def _cmd_synth(args, form):
 
 
 def _cmd_verify(args, form):
-    if args.gain and form.plant is None:
-        raise InvalidInputError("machine networks certify their own modal law only")
     gain = _load_gain(args.gain, args.omega0, form.plant) if args.gain else form.gain(args.omega0)
     blocks, verdict = verify.certificate_blocks(form.plant, gain, tol=args.tol, grid=args.grid)
     _emit(_report(form, gain=_gain_report(gain), tolerances={"tol": args.tol}, **blocks), args.out)
@@ -361,29 +372,19 @@ def _cmd_verify(args, form):
 
 
 def _cmd_lower_bound(args, form):
-    if form.plant is None:
-        raise InvalidInputError("lower-bound requires a model with a single plant form")
     bound = verify.lower_bound(form.plant, grid=args.grid)
     _emit(_report(form, lower_bound=bound._asdict()), args.out)
     return EXIT_OK
 
 
 def _cmd_compare(args, form):
-    if form.plant is None:
-        raise InvalidInputError(
-            "compare requires a model with a single descriptor form; "
-            "machine networks are verified per mode"
-        )
-    desc = form.plant.descriptor
-    if desc is None:
-        raise InvalidInputError("compare requires a descriptor or network model")
-    if not desc.state_space:
+    if not form.plant.state_space:  # a DescriptorPlant: the kind table refuses every other kind
         raise SingularMatrixError(
             "E is singular; compare needs the state-space form the Riccati baseline is posed in"
         )
     gain = form.gain(args.omega0)
     cert = verify.certify_optimality(form.plant, gain, tol=args.tol, grid=args.grid)
-    gamma_star, K_are = gamma_bisect(AreProblem.from_descriptor(desc), tol=args.tol)
+    gamma_star, K_are = gamma_bisect(AreProblem.from_descriptor(form.plant), tol=args.tol)
     are_gain = Gain(K_are, 0.0, "external")
     closed = verify.sparsity_pattern(gain)
     dense = verify.sparsity_pattern(are_gain)
@@ -403,8 +404,6 @@ def _cmd_compare(args, form):
 
 
 def _cmd_freqresp(args, form):
-    if form.plant is None:
-        raise InvalidInputError("freqresp requires a model with a single plant form")
     gain = _load_gain(args.gain, args.omega0, form.plant) if args.gain else form.gain(args.omega0)
     rows = verify.sigma_table(form.plant, gain, args.grid)
     _emit("omega,sigma_max,is_peak\n" + "".join(f"{w!r},{v!r},{p}\n" for w, v, p in rows), args.out)
@@ -590,6 +589,11 @@ def main(argv=None) -> int:
             return args.func(args)
         model, digest = _parse(args.model)
         form = _resolve(model, unit_h=vars(args).get("unit_h", False))
+        options = ("gain", "weighted", "unit_h", "omega0")  # refusals are checked in this order
+        given = [args.command, *("--" + o.replace("_", "-") for o in options if vars(args).get(o))]
+        refused = [form.refuses[key] for key in given if key in form.refuses]
+        if refused:
+            raise InvalidInputError(refused[0])
         form.header = {"path": str(args.model), "digest": digest, "kind": form.kind}
         return args.func(args, form)
     except SchemaError as exc:

@@ -113,13 +113,8 @@ def pencil_stability(
     bit for bit, but for diagonal E, A under K = B^T A^{-1}: an eigvalsh of a similar
     symmetric matrix, ulps apart. The abscissa must clear the axis by STABILITY_MARGIN_RTOL ||A||.
     """
-    if loop is None:
-        ev = generalized_eigenvalues(closed_state_matrix(plant, gain), plant.E)
-    else:
-        ev = loop.poles
-    abscissa = float(ev.real.max()) if ev.size else -math.inf
-    margin = STABILITY_MARGIN_RTOL * spectral_norm(plant.A)
-    return StabilityResult(abscissa < -margin, abscissa)
+    ev = generalized_eigenvalues(closed_state_matrix(plant, gain), plant.E) if loop is None else loop.poles
+    return _clear_of_axis(ev, spectral_norm(plant.A))
 
 
 def _level_candidates(A: np.ndarray, R: np.ndarray, Q: np.ndarray, E=None) -> np.ndarray:
@@ -468,11 +463,12 @@ def rational_stability(plant: RationalPlant, gain: Gain, loop: StateSpace | None
     return _clear_of_axis(alpha[finite] / beta[finite])
 
 
-def _clear_of_axis(poles: np.ndarray) -> StabilityResult:
+def _clear_of_axis(poles: np.ndarray, scale=None) -> StabilityResult:
+    """The poles' abscissa, stable if below -STABILITY_MARGIN_RTOL * scale (default 1 + max |pole|)."""
     if not poles.size:
         return StabilityResult(True, -math.inf)
     abscissa = float(poles.real.max())
-    margin = STABILITY_MARGIN_RTOL * (1.0 + float(np.abs(poles).max()))
+    margin = STABILITY_MARGIN_RTOL * (1.0 + float(np.abs(poles).max()) if scale is None else scale)
     return StabilityResult(abscissa < -margin, abscissa)
 
 

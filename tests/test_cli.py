@@ -1131,6 +1131,11 @@ def _refusal_cases():
                      "schema error: entry 'M[0][0]' must hold numeric coefficient arrays (field: M[0][0])"),
         "no-pools": ({**IRRIGATION, "nodes": 0}, ["verify"], EXIT_INVARIANT,
                      "invalid model: irrigation cascade needs at least one pool"),
+        "machine-omega0": (machines, ["verify", "--omega0", "2"], EXIT_INVARIANT,
+                           "invalid model: machine networks take their law per mode, not at --omega0"),
+        **{f"{name}-unit-h": (MODELS[name], ["synth", "--unit-h"], EXIT_INVARIANT,
+                              "invalid model: --unit-h applies to irrigation networks only")
+           for name in ("lag", "droop", "line_buffer")},
     }
 
 
@@ -1281,3 +1286,71 @@ def test_no_module_reads_a_private_name_of_another_module():
                     read.append(f"{node.value.id}.{node.attr}")
         found += [f"{path.name}: {name}" for name in read if name not in shared]
     assert found == []
+
+
+CASCADE3 = {**IRRIGATION, "nodes": 3, "params": {"alpha": [2.0] * 3, "beta": [1.0] * 3, "tau": [1.0] * 3}}
+NOT_REAL = ("hinfkit: invalid model: closed-form gain is not real-valued at this frequency; "
+            "pick a frequency where the sampled gain is real\n")
+
+
+@pytest.mark.parametrize("cmd", ["synth", "verify", "compare", "freqresp"])
+@pytest.mark.parametrize("name", ["lag", "line_buffer", "rooms", "ring", "cascade3"])
+def test_omega0_samples_the_closed_form_of_every_plant(name, cmd, tmp_path, monkeypatch):
+    # One gain rule: a plant-backed model takes the closed form at --omega0, and at
+    # omega0 = 0 (-0.0 too) that sample is its exact law, so the report is unchanged.
+    monkeypatch.chdir(tmp_path)
+    doc = CASCADE3 if name == "cascade3" else MODELS[name]
+    assert _run_case(doc, [cmd, "--omega0", "0.5"]) == (EXIT_INVARIANT, "", NOT_REAL)
+    plain = _run_case(doc, [cmd])
+    assert plain[0] in (EXIT_OK, EXIT_SUBOPTIMAL) and plain[1]
+    assert _run_case(doc, [cmd, "--omega0", "0"]) == plain
+    assert _run_case(doc, [cmd, "--omega0=-0.0"]) == plain
+
+
+def test_omega0_labels_a_given_gain(tmp_path, monkeypatch):
+    # With --gain, --omega0 is the frequency the certificate tests the gain's peak at.
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "report.json"
+    argv = ["verify", "--gain", {"K": [[-1.0]]}, "--omega0", "2", "--out", str(out)]
+    assert _run_case(MODELS["lag"], argv)[0] == EXIT_SUBOPTIMAL
+    assert json.loads(out.read_text())["certificate"]["details"]["omega0"] == 2.0
+
+
+REFUSALS = (
+    "weighted synthesis is not defined for machine networks",
+    "machine networks certify their own modal law only",
+    "lower-bound requires a model with a single plant form",
+    "compare requires a model with a single descriptor form; machine networks are verified per mode",
+    "compare requires a descriptor or network model",
+    "freqresp requires a model with a single plant form",
+)
+
+
+def test_only_the_kind_table_tests_a_models_kind():
+    # _resolve makes every per-kind decision: no command compares form.plant with None,
+    # reads a descriptor or a kind, or raises a refusal, and each refusal is written once,
+    # in _resolve.
+    import ast
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = []
+    for name, function in functions.items():
+        if not name.startswith("_cmd_"):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Attribute) and node.attr in ("descriptor", "kind"):
+                found.append(f"{name} reads .{node.attr}")
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "plant" for n in ast.walk(node)) \
+                    and any(isinstance(n, ast.Constant) and n.value is None for n in ast.walk(node)):
+                found.append(f"{name} compares form.plant with None")
+            if isinstance(node, ast.Raise) and any(
+                    isinstance(n, ast.Name) and n.id == "InvalidInputError" for n in ast.walk(node)):
+                found.append(f"{name} raises InvalidInputError")
+    assert found == []
+    where = lambda tree: [node.value for node in ast.walk(tree)
+                          if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    for message in REFUSALS:
+        assert where(tree).count(message) == 1, message
+        assert message in where(functions["_resolve"]), message
